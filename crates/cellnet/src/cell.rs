@@ -77,7 +77,6 @@ pub struct Cell {
     capacity: Bandwidth,
     used: Bandwidth,
     conns: BTreeMap<ConnectionId, ConnInfo>,
-    version: u64,
 }
 
 impl Cell {
@@ -88,21 +87,12 @@ impl Cell {
             capacity,
             used: Bandwidth::ZERO,
             conns: BTreeMap::new(),
-            version: 0,
         }
     }
 
     /// This cell's id.
     pub fn id(&self) -> CellId {
         self.id
-    }
-
-    /// A counter bumped by every successful membership mutation
-    /// ([`Self::insert`] / [`Self::remove`]). Any computation derived from
-    /// the connection registry — notably a neighbor's `B_i,0` contribution —
-    /// stays valid exactly while this value is unchanged.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The fixed link capacity `C(i)`.
@@ -155,7 +145,6 @@ impl Cell {
         }
         self.used += info.bandwidth;
         self.conns.insert(info.id, info);
-        self.version += 1;
         Ok(())
     }
 
@@ -163,7 +152,6 @@ impl Cell {
     pub fn remove(&mut self, id: ConnectionId) -> Result<ConnInfo, CellError> {
         let info = self.conns.remove(&id).ok_or(CellError::UnknownConnection)?;
         self.used -= info.bandwidth;
-        self.version += 1;
         Ok(info)
     }
 
@@ -275,20 +263,6 @@ mod tests {
         }
         let ids: Vec<u64> = cell.connections().map(|c| c.id.0).collect();
         assert_eq!(ids, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn version_tracks_successful_mutations_only() {
-        let mut cell = Cell::new(CellId(0), Bandwidth::from_bus(5));
-        assert_eq!(cell.version(), 0);
-        cell.insert(info(1, 4, 0.0)).unwrap();
-        assert_eq!(cell.version(), 1);
-        // Failed insert (capacity) and failed remove leave it unchanged.
-        assert!(cell.insert(info(2, 4, 0.0)).is_err());
-        assert!(cell.remove(ConnectionId(9)).is_err());
-        assert_eq!(cell.version(), 1);
-        cell.remove(ConnectionId(1)).unwrap();
-        assert_eq!(cell.version(), 2);
     }
 
     #[test]

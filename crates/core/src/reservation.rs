@@ -100,8 +100,8 @@ pub fn neighbor_contribution(
             if qres_obs::flight::flight_enabled() {
                 // Leave the Eq.-4 internals (Σ p_h over the forecasts
                 // toward `target`, count of contributing connections) in
-                // TLS for the caller to re-key by request (see
-                // `CellSite::contribution_into`).
+                // TLS for `compute_br` to copy into the term's flight
+                // record.
                 qres_obs::flight::stage_eval_detail(p_h_sum, live);
             }
             total

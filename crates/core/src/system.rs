@@ -20,35 +20,22 @@
 //! BS performs it, and each such computation costs one reservation
 //! round-trip with each of that cell's neighbors on the backbone.
 //!
-//! ## Backends
-//!
-//! The per-cell state lives behind one of two interchangeable backends:
-//!
-//! * **Inline** (`workers <= 1`) — every [`crate::shard::CellSite`] in one
-//!   `Vec`, mutated directly. This is the reference implementation.
-//! * **Sharded** ([`ReservationSystem::with_workers`], `workers >= 2`) —
-//!   cells are partitioned into contiguous regions owned by worker
-//!   threads, and each protocol step becomes a message to the owning
-//!   shard (see [`crate::shard`]). Results are bit-identical to the
-//!   inline backend: the driver issues one operation at a time, sums
-//!   `B_r` replies in neighbor order, and both backends execute the same
-//!   site-local code.
-//!
-//! All protocol-level accounting — backbone signaling, `N_calc`, memo-hit
-//! and calculation totals, admission request ids — stays on the driver in
-//! both modes, so observable statistics cannot diverge between backends.
+//! The protocol is distributed, but its simulation is not: every cell's
+//! state sits in one vector on the caller's thread, and the inter-BS
+//! exchanges are counted on [`BsNetwork`] rather than carried. Those
+//! counts are all the paper's results need (DESIGN §11).
 
 use qres_cellnet::{
-    Bandwidth, BsNetwork, BsNetworkKind, Cell, CellError, CellId, ConnInfo, ConnectionId, Topology,
+    Bandwidth, BsNetwork, BsNetworkKind, Cell, CellId, ConnInfo, ConnectionId, Topology,
 };
 use qres_des::{Duration, SimTime};
 use qres_mobility::{HandoffEvent, HoeCache};
 use qres_stats::Welford;
 
-use crate::admission::{AcKind, AdmissionDecision, SchemeConfig};
+use crate::admission::{admits_with_reserve, AcKind, AdmissionDecision, SchemeConfig};
 use crate::config::QresConfig;
-use crate::shard::{CellSite, CellUsage, ShardPool};
-use crate::window_control::{WindowController, WindowEvent};
+use crate::reservation::neighbor_contribution;
+use crate::window_control::WindowController;
 
 /// A new-connection request arriving at a cell.
 #[derive(Debug, Clone, Copy)]
@@ -81,25 +68,26 @@ impl HandoffOutcome {
     }
 }
 
-/// Where the per-cell state lives (see the module docs).
-enum Backend {
-    /// Reference: all sites in one vector, mutated directly.
-    Inline(Vec<CellSite>),
-    /// Sites partitioned across worker threads; operations become
-    /// messages to the owning shard.
-    Sharded(ShardPool),
+/// One cell plus its base station's scheme state.
+struct CellSite {
+    cell: Cell,
+    hoe: HoeCache,
+    controller: WindowController,
+    /// `B_r,i^prev` — the most recently computed target, consulted by
+    /// AC3's suspect test and exported for the `B_r` metrics.
+    last_br: f64,
 }
 
 /// The full reservation system over one cellular network.
 pub struct ReservationSystem {
     config: QresConfig,
     topology: Topology,
-    backend: Backend,
+    /// Per-cell state, indexed by cell id.
+    sites: Vec<CellSite>,
     signaling: BsNetwork,
     /// Per-admission-test count of `B_r` computations (`N_calc`).
     n_calc: Welford,
     br_calcs_total: u64,
-    br_memo_hits: u64,
     /// Monotonic admission-request id. Incremented unconditionally (not
     /// gated on the obs level) so a run's ids are identical whether or
     /// not telemetry is on; pairs `Admission` events with the
@@ -109,59 +97,33 @@ pub struct ReservationSystem {
 
 impl ReservationSystem {
     /// Creates a system with one cell per topology node, uniform capacity
-    /// from the config, over the given backbone kind — on the inline
-    /// (single-threaded reference) backend.
+    /// from the config, over the given backbone kind.
     pub fn new(config: QresConfig, topology: Topology, backbone: BsNetworkKind) -> Self {
-        Self::with_workers(config, topology, backbone, 1)
-    }
-
-    /// [`Self::new`] with an explicit worker-shard count. `workers <= 1`
-    /// selects the inline reference backend; `workers >= 2` partitions the
-    /// cells into that many contiguous regions, each owned by a worker
-    /// thread (clamped to the cell count). Either way, results are
-    /// bit-identical — the sharded backend exists to put the paper's
-    /// S4 message structure on real channels and to scale state across
-    /// cores, not to change behavior.
-    pub fn with_workers(
-        config: QresConfig,
-        topology: Topology,
-        backbone: BsNetworkKind,
-        workers: usize,
-    ) -> Self {
         config.validate();
-        let sites: Vec<CellSite> = topology
+        let sites = topology
             .cells()
             .map(|id| {
                 let mut hoe = HoeCache::new(config.hoe.clone());
                 hoe.set_obs_owner(id.0);
-                CellSite::new(
-                    Cell::new(id, config.capacity),
+                CellSite {
+                    cell: Cell::new(id, config.capacity),
                     hoe,
-                    WindowController::new(
+                    controller: WindowController::new(
                         config.p_hd_target,
                         config.t_start_secs,
                         config.step_policy,
                     ),
-                )
+                    last_br: 0.0,
+                }
             })
             .collect();
-        let workers = workers.clamp(1, sites.len().max(1));
-        if qres_obs::enabled() {
-            qres_obs::metrics::WORKERS.observe(workers as u64);
-        }
-        let backend = if workers <= 1 {
-            Backend::Inline(sites)
-        } else {
-            Backend::Sharded(ShardPool::new(sites, workers))
-        };
         ReservationSystem {
             config,
             topology,
-            backend,
+            sites,
             signaling: BsNetwork::new(backbone),
             n_calc: Welford::new(),
             br_calcs_total: 0,
-            br_memo_hits: 0,
             admission_req_seq: 0,
         }
     }
@@ -181,70 +143,32 @@ impl ReservationSystem {
         self.topology.num_cells()
     }
 
-    /// Number of worker shards owning cell state (1 = inline backend).
-    pub fn workers(&self) -> usize {
-        match &self.backend {
-            Backend::Inline(_) => 1,
-            Backend::Sharded(pool) => pool.workers(),
-        }
-    }
-
-    /// True when cells are owned by worker shards.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.backend, Backend::Sharded(_))
-    }
-
-    /// Conservative clock barrier: returns once every worker shard has
-    /// drained its mailbox. A no-op on the inline backend. The DES driver
-    /// calls this once per epoch so shard-local work never lags the
-    /// simulation clock by more than an epoch.
-    pub fn quiesce(&self) {
-        if let Backend::Sharded(pool) = &self.backend {
-            pool.quiesce();
-            if qres_obs::enabled() {
-                qres_obs::metrics::SHARD_BARRIERS_TOTAL.add(1);
-            }
-        }
-    }
+    /// Does nothing. Stays for `perfbench/src/mirror.rs` until the next
+    /// benchmark change.
+    pub fn quiesce(&self) {}
 
     /// Read access to a cell's link state.
-    ///
-    /// # Panics
-    ///
-    /// On the sharded backend — cell state lives on its owning worker, so
-    /// there is no long-lived reference to hand out. Use the value queries
-    /// ([`Self::used_bus`], [`Self::last_br`], [`Self::t_est`]) instead.
     pub fn cell(&self, id: CellId) -> &Cell {
-        match &self.backend {
-            Backend::Inline(sites) => &sites[id.index()].cell,
-            Backend::Sharded(_) => panic!(
-                "cell() requires the inline backend; use used_bus()/last_br()/t_est() queries \
-                 on a sharded system"
-            ),
-        }
+        &self.sites[id.index()].cell
     }
 
     /// The current adaptive window `T_est` of a cell.
     pub fn t_est(&self, id: CellId) -> Duration {
-        match &self.backend {
-            Backend::Inline(sites) => sites[id.index()].controller.t_est(),
-            Backend::Sharded(pool) => pool.t_est(id),
-        }
+        self.sites[id.index()].controller.t_est()
     }
 
     /// The most recently computed target reservation bandwidth `B_r` of a
     /// cell (updated at admission tests, per the paper).
     pub fn last_br(&self, id: CellId) -> f64 {
-        self.usage(id).last_br
+        self.sites[id.index()].last_br
     }
 
     /// A cell's occupied bandwidth in bandwidth units.
     pub fn used_bus(&self, id: CellId) -> u32 {
-        self.usage(id).used.as_bus()
+        self.cell(id).used().as_bus()
     }
 
-    /// Backbone signaling counters. All protocol exchanges are accounted
-    /// here on the driver, whichever backend owns the cell state.
+    /// Backbone signaling counters.
     pub fn signaling(&self) -> &BsNetwork {
         &self.signaling
     }
@@ -259,12 +183,10 @@ impl ReservationSystem {
         self.br_calcs_total
     }
 
-    /// How many neighbor-contribution evaluations were answered from the
-    /// epoch memo instead of being recomputed. A memo hit still counts in
-    /// `N_calc` and on the signaling fabric — the *logical* protocol is
-    /// unchanged; only the local arithmetic is skipped.
+    /// Always 0: every `B_r` term is evaluated fresh. Stays for
+    /// `perfbench/src/mirror.rs` until the next benchmark change.
     pub fn br_memo_hits(&self) -> u64 {
-        self.br_memo_hits
+        0
     }
 
     /// Total admission tests performed, which is also the id of the most
@@ -273,196 +195,64 @@ impl ReservationSystem {
         self.admission_req_seq
     }
 
-    /// A cell's admission-relevant link state, fetched from whichever
-    /// backend owns it.
-    fn usage(&self, id: CellId) -> CellUsage {
-        match &self.backend {
-            Backend::Inline(sites) => sites[id.index()].usage(),
-            Backend::Sharded(pool) => pool.usage(id),
-        }
-    }
-
-    /// Publishes a freshly computed `B_r` target to its owning site.
-    fn set_last_br(&mut self, id: CellId, br: f64) {
-        match &mut self.backend {
-            Backend::Inline(sites) => sites[id.index()].last_br = br,
-            Backend::Sharded(pool) => pool.set_last_br(id, br),
-        }
-    }
-
-    /// Registers a connection in a cell.
-    fn insert_conn(&mut self, id: CellId, info: ConnInfo) -> Result<(), CellError> {
-        match &mut self.backend {
-            Backend::Inline(sites) => sites[id.index()].cell.insert(info),
-            Backend::Sharded(pool) => pool.insert_conn(id, info),
-        }
-    }
-
-    /// Releases a connection from a cell.
-    fn remove_conn(&mut self, cell: CellId, id: ConnectionId) -> Result<ConnInfo, CellError> {
-        match &mut self.backend {
-            Backend::Inline(sites) => sites[cell.index()].cell.remove(id),
-            Backend::Sharded(pool) => pool.remove_conn(cell, id),
-        }
-    }
-
-    /// Looks up a connection's record in a cell.
-    fn get_conn(&self, cell: CellId, id: ConnectionId) -> Option<ConnInfo> {
-        match &self.backend {
-            Backend::Inline(sites) => sites[cell.index()].cell.get(id).copied(),
-            Backend::Sharded(pool) => pool.get_conn(cell, id),
-        }
-    }
-
-    /// Feeds a hand-off outcome to a cell's window controller; returns the
-    /// window event and the post-update `T_est` in whole seconds.
-    fn observe_handoff_at(
-        &mut self,
-        cell: CellId,
-        dropped: bool,
-        t_soj_max: Option<Duration>,
-    ) -> (WindowEvent, u64) {
-        match &mut self.backend {
-            Backend::Inline(sites) => sites[cell.index()].observe_handoff(dropped, t_soj_max),
-            Backend::Sharded(pool) => pool.observe_handoff(cell, dropped, t_soj_max),
-        }
-    }
-
-    /// Records a hand-off quadruplet in the source cell's estimation cache.
-    fn record_quad(&mut self, cell: CellId, event: HandoffEvent) {
-        match &mut self.backend {
-            Backend::Inline(sites) => sites[cell.index()].hoe.record(event),
-            Backend::Sharded(pool) => pool.record_quad(cell, event),
-        }
+    /// Eq. 1's admission condition for `cell`, through the pure predicate
+    /// shared with `qres obsreplay`.
+    fn fits_with_reserve(&self, cell: CellId, bandwidth: Bandwidth, reserve: f64) -> bool {
+        assert!(reserve >= 0.0, "reservation target cannot be negative");
+        let cell = self.cell(cell);
+        admits_with_reserve(
+            cell.used().as_f64(),
+            bandwidth.as_f64(),
+            cell.capacity().as_f64(),
+            reserve,
+        )
     }
 
     /// Computes `B_r,target` (Eqs. 5–6), updating `last_br`, signaling
     /// counters and the calculation total. One call = one `N_calc` unit.
-    ///
-    /// Each neighbor's `B_i,target` term is memoized under an epoch key —
-    /// the neighbor's cell version, its estimation-cache version, and the
-    /// target's `T_est` — and reused while all three are unchanged and the
-    /// evaluation time advanced by at most the configured staleness
-    /// tolerance. With the default tolerance of zero a term is reused only
-    /// at the exact same instant, which is bit-identical to recomputing it.
-    ///
-    /// On the sharded backend the per-neighbor terms are *fanned out*: one
-    /// `Contribution` message per neighbor (alongside its signaling
-    /// round-trip), evaluated concurrently by the owning workers, with the
-    /// replies collected and summed in neighbor order — the same float
-    /// summation order as the inline loop, hence the same bits.
     fn compute_br(&mut self, now: SimTime, target: CellId) -> f64 {
         let t_est = self.t_est(target);
-        let tolerance = self.config.br_staleness_tolerance;
         let req_id = self.admission_req_seq;
-        let Self {
-            topology,
-            backend,
-            signaling,
-            br_memo_hits,
-            ..
-        } = self;
         let obs_on = qres_obs::enabled();
         let obs_call_t0 = obs_on.then(std::time::Instant::now);
         let flight_on = qres_obs::flight::flight_enabled();
         let mut flight_terms = Vec::new();
-        let mut obs_hits = 0u32;
-        let mut obs_recomputed = 0u32;
         let mut br = 0.0;
-        match backend {
-            Backend::Inline(sites) => {
-                for &nb in topology.neighbors(target) {
-                    // The target's BS announces T_est and the neighbor
-                    // replies with its contribution: one round-trip per
-                    // neighbor.
-                    signaling.reservation_exchange(target, nb);
-                    let obs_t0 = obs_on.then(std::time::Instant::now);
-                    let (value, was_hit) =
-                        sites[nb.index()].contribution_into(now, target, t_est, tolerance, req_id);
-                    if was_hit {
-                        *br_memo_hits += 1;
-                    }
-                    br += value;
-                    if flight_on {
-                        flight_terms.push(qres_obs::flight::FlightTerm {
-                            neighbor: nb.0,
-                            value,
-                            memo_hit: was_hit,
-                            p_h_sum: None,
-                            conns: None,
-                        });
-                    }
-                    if let Some(t0) = obs_t0 {
-                        let elapsed = t0.elapsed();
-                        if was_hit {
-                            obs_hits += 1;
-                            qres_obs::metrics::BR_TERM_HIT_NS.record_duration(elapsed);
-                        } else {
-                            obs_recomputed += 1;
-                            qres_obs::metrics::BR_TERM_MISS_NS.record_duration(elapsed);
-                        }
-                    }
-                }
-                sites[target.index()].last_br = br;
+        for &nb in self.topology.neighbors(target) {
+            // The target's BS announces T_est and the neighbor replies
+            // with its contribution: one round-trip per neighbor.
+            self.signaling.reservation_exchange(target, nb);
+            let obs_t0 = obs_on.then(std::time::Instant::now);
+            let site = &mut self.sites[nb.index()];
+            let value = neighbor_contribution(&site.cell, &mut site.hoe, now, target, t_est);
+            br += value;
+            if let Some(t0) = obs_t0 {
+                qres_obs::metrics::BR_TERM_MISS_NS.record_duration(t0.elapsed());
             }
-            Backend::Sharded(pool) => {
-                // Fan out: each signaling round-trip is carried by one
-                // Contribution message to the neighbor's owning shard.
-                let neighbors = topology.neighbors(target);
-                let mut pending = Vec::with_capacity(neighbors.len());
-                for &nb in neighbors {
-                    signaling.reservation_exchange(target, nb);
-                    pending.push((
-                        nb,
-                        pool.send_contribution(target, nb, now, t_est, tolerance, req_id),
-                    ));
-                }
-                // Fan in, in neighbor order.
-                for (nb, rx) in pending {
-                    let blocked_t0 = obs_on.then(std::time::Instant::now);
-                    let reply = rx.recv().expect("shard worker terminated");
-                    if let Some(t0) = blocked_t0 {
-                        qres_obs::add_driver_blocked(t0.elapsed().as_nanos() as u64);
-                    }
-                    if reply.memo_hit {
-                        *br_memo_hits += 1;
-                    }
-                    br += reply.value;
-                    if flight_on {
-                        flight_terms.push(qres_obs::flight::FlightTerm {
-                            neighbor: nb.0,
-                            value: reply.value,
-                            memo_hit: reply.memo_hit,
-                            p_h_sum: None,
-                            conns: None,
-                        });
-                    }
-                    if obs_on {
-                        let elapsed = std::time::Duration::from_nanos(reply.dur_ns);
-                        if reply.memo_hit {
-                            obs_hits += 1;
-                            qres_obs::metrics::BR_TERM_HIT_NS.record_duration(elapsed);
-                        } else {
-                            obs_recomputed += 1;
-                            qres_obs::metrics::BR_TERM_MISS_NS.record_duration(elapsed);
-                        }
-                    }
-                }
-                pool.set_last_br(target, br);
+            if flight_on {
+                // The evaluation just left its Eq.-4 internals (Σ p_h,
+                // live-connection count) in this thread's scratch.
+                let detail = qres_obs::flight::take_eval_detail();
+                flight_terms.push(qres_obs::flight::FlightTerm {
+                    neighbor: nb.0,
+                    value,
+                    p_h_sum: detail.map(|(p_h_sum, _)| p_h_sum),
+                    conns: detail.map(|(_, conns)| conns),
+                });
             }
         }
+        self.sites[target.index()].last_br = br;
         self.br_calcs_total += 1;
         if let Some(t0) = obs_call_t0 {
             let elapsed = t0.elapsed();
+            let terms = self.topology.neighbors(target).len() as u32;
             qres_obs::metrics::BR_COMPUTE_NS.record_cell_duration(target.0, elapsed);
-            qres_obs::metrics::BR_MEMO_HITS_TOTAL.add(u64::from(obs_hits));
-            qres_obs::metrics::BR_TERMS_RECOMPUTED_TOTAL.add(u64::from(obs_recomputed));
+            qres_obs::metrics::BR_TERMS_RECOMPUTED_TOTAL.add(u64::from(terms));
             qres_obs::record(qres_obs::ObsEvent::BrCompute {
                 t: now.as_secs(),
                 cell: target.0,
                 req: req_id,
-                memo_hits: obs_hits,
-                recomputed: obs_recomputed,
+                recomputed: terms,
                 br,
                 dur_ns: elapsed.as_nanos() as u64,
             });
@@ -491,19 +281,16 @@ impl ReservationSystem {
     /// neighbor list (the flight record's check key).
     fn neighbor_feasible(&mut self, now: SimTime, neighbor: CellId, rank: u8) -> bool {
         let br = self.compute_br(now, neighbor);
-        let usage = self.usage(neighbor);
-        let ok = crate::admission::neighbor_reserve_feasible(
-            usage.used.as_f64(),
-            usage.capacity.as_f64(),
-            br,
-        );
+        let cell = self.cell(neighbor);
+        let (used, capacity) = (cell.used().as_f64(), cell.capacity().as_f64());
+        let ok = crate::admission::neighbor_reserve_feasible(used, capacity, br);
         if qres_obs::flight::flight_enabled() {
             qres_obs::flight::stage_check(qres_obs::flight::FlightCheck {
                 rank,
                 neighbor: neighbor.0,
                 br,
-                used: usage.used.as_f64(),
-                capacity: usage.capacity.as_f64(),
+                used,
+                capacity,
                 ok,
             });
         }
@@ -522,10 +309,7 @@ impl ReservationSystem {
         let obs_t0 = qres_obs::enabled().then(std::time::Instant::now);
         let decision = match self.config.scheme {
             SchemeConfig::Static { guard } => {
-                if self
-                    .usage(req.cell)
-                    .fits_with_reserve(req.bandwidth, guard.as_f64())
-                {
+                if self.fits_with_reserve(req.cell, req.bandwidth, guard.as_f64()) {
                     AdmissionDecision::Admitted
                 } else {
                     AdmissionDecision::BlockedLocal
@@ -545,13 +329,12 @@ impl ReservationSystem {
                     let nb = self.topology.neighbors(req.cell)[rank];
                     self.signaling.reservation_exchange(req.cell, nb);
                     let fanout = self.topology.neighbors(nb).len().max(1);
-                    let term = params.neighbor_contribution(self.usage(nb).used.as_bus(), fanout);
+                    let term = params.neighbor_contribution(self.used_bus(nb), fanout);
                     b_ns += term;
                     if flight_on {
                         flight_terms.push(qres_obs::flight::FlightTerm {
                             neighbor: nb.0,
                             value: term,
-                            memo_hit: false,
                             p_h_sum: None,
                             conns: None,
                         });
@@ -560,9 +343,9 @@ impl ReservationSystem {
                 if flight_on {
                     qres_obs::flight::stage_terms(req_id, req.cell.0, flight_terms);
                 }
-                self.set_last_br(req.cell, b_ns);
+                self.sites[req.cell.index()].last_br = b_ns;
                 self.br_calcs_total += 1;
-                if self.usage(req.cell).fits_with_reserve(req.bandwidth, b_ns) {
+                if self.fits_with_reserve(req.cell, req.bandwidth, b_ns) {
                     AdmissionDecision::Admitted
                 } else {
                     AdmissionDecision::BlockedLocal
@@ -599,10 +382,10 @@ impl ReservationSystem {
             // bookkeeping. `reserve` is the exact threshold the scheme
             // compared against: the static guard band, or the `last_br`
             // every other scheme just published for the requesting cell.
-            let usage = self.usage(req.cell);
+            let cell = self.cell(req.cell);
             let reserve = match self.config.scheme {
                 SchemeConfig::Static { guard } => guard.as_f64(),
-                _ => usage.last_br,
+                _ => self.last_br(req.cell),
             };
             qres_obs::flight::record(qres_obs::flight::FlightRecord {
                 req: req_id,
@@ -610,8 +393,8 @@ impl ReservationSystem {
                 cell: req.cell.0,
                 scheme: self.config.scheme.label(),
                 bu: req.bandwidth.as_f64(),
-                used: usage.used.as_f64(),
-                capacity: usage.capacity.as_f64(),
+                used: cell.used().as_f64(),
+                capacity: cell.capacity().as_f64(),
                 reserve,
                 t_est_secs: self.t_est(req.cell).as_secs(),
                 terms: qres_obs::flight::take_terms(req_id, req.cell.0),
@@ -621,17 +404,16 @@ impl ReservationSystem {
             });
         }
         if decision.is_admitted() {
-            self.insert_conn(
-                req.cell,
-                ConnInfo {
+            self.sites[req.cell.index()]
+                .cell
+                .insert(ConnInfo {
                     id: req.id,
                     bandwidth: req.bandwidth,
                     prev: None, // paper's prev = 0: started in this cell
                     entered_at: now,
                     known_next: req.known_next,
-                },
-            )
-            .expect("admission test guaranteed capacity");
+                })
+                .expect("admission test guaranteed capacity");
         }
         decision
     }
@@ -646,7 +428,7 @@ impl ReservationSystem {
         // Eq. 1 test ("B_r is updated predictively and adaptively before
         // performing the admission test").
         let br0 = self.compute_br(now, req.cell);
-        let local_ok = self.usage(req.cell).fits_with_reserve(req.bandwidth, br0);
+        let local_ok = self.fits_with_reserve(req.cell, req.bandwidth, br0);
         match kind {
             AcKind::Ac1 => {
                 if local_ok {
@@ -685,8 +467,9 @@ impl ReservationSystem {
                 let mut veto: Option<u8> = None;
                 for rank in 0..num_neighbors {
                     let nb = self.topology.neighbors(req.cell)[rank];
-                    let usage = self.usage(nb);
-                    let suspect = usage.used.as_f64() + usage.last_br > usage.capacity.as_f64();
+                    let cell = self.cell(nb);
+                    let suspect =
+                        cell.used().as_f64() + self.last_br(nb) > cell.capacity().as_f64();
                     if suspect {
                         self.signaling.admission_check_exchange(req.cell, nb);
                         if !self.neighbor_feasible(now, nb, rank as u8) && veto.is_none() {
@@ -756,24 +539,28 @@ impl ReservationSystem {
             self.topology.are_adjacent(from, to),
             "hand-off between non-adjacent cells {from} -> {to}"
         );
-        let info = self
-            .get_conn(from, id)
-            .expect("hand-off of unknown connection");
-        let fits = self.usage(to).fits(info.bandwidth) && !external_veto;
+        let bandwidth = self
+            .cell(from)
+            .get(id)
+            .expect("hand-off of unknown connection")
+            .bandwidth;
+        let fits = self.cell(to).fits(bandwidth) && !external_veto;
         if qres_obs::enabled() {
             // Resolve any live Eq.-4 forecasts about this connection
             // (a hand-off out of `from` settles them, hit or miss) and
             // attribute the attempted bandwidth to the target cell's
             // reservation-efficiency ledger.
             qres_obs::observe_attempt(id.0, from.0, to.0, now.as_secs());
-            qres_obs::qos::record_handoff_bw(to.0, info.bandwidth.as_f64(), !fits);
+            qres_obs::qos::record_handoff_bw(to.0, bandwidth.as_f64(), !fits);
         }
 
         if self.config.scheme.is_predictive() {
             // T_soj,max: the largest sojourn in the hand-off estimation
             // functions of the target's adjacent cells (caps T_est growth).
             let t_soj_max = self.max_sojourn_around(now, to);
-            let (window_event, t_est_secs) = self.observe_handoff_at(to, !fits, t_soj_max);
+            let controller = &mut self.sites[to.index()].controller;
+            let window_event = controller.observe_handoff(!fits, t_soj_max);
+            let t_est_secs = controller.t_est_secs();
             if qres_obs::enabled() {
                 if let Some(delta) = window_event.delta_label() {
                     if window_event.is_increase() {
@@ -792,8 +579,9 @@ impl ReservationSystem {
             }
         }
 
-        let removed = self
-            .remove_conn(from, id)
+        let removed = self.sites[from.index()]
+            .cell
+            .remove(id)
             .expect("connection disappeared mid-hand-off");
         if qres_obs::enabled() {
             // Hand-in occupancy integrals: the connection stops counting
@@ -812,21 +600,22 @@ impl ReservationSystem {
         }
         if fits {
             // Record the quadruplet (successful departures only).
-            self.record_quad(
-                from,
-                HandoffEvent::new(now, removed.prev, to, now - removed.entered_at),
-            );
-            self.insert_conn(
+            self.sites[from.index()].hoe.record(HandoffEvent::new(
+                now,
+                removed.prev,
                 to,
-                ConnInfo {
+                now - removed.entered_at,
+            ));
+            self.sites[to.index()]
+                .cell
+                .insert(ConnInfo {
                     id,
                     bandwidth: removed.bandwidth,
                     prev: Some(from),
                     entered_at: now,
                     known_next,
-                },
-            )
-            .expect("fits() guaranteed capacity");
+                })
+                .expect("fits() guaranteed capacity");
             HandoffOutcome::Completed
         } else {
             HandoffOutcome::Dropped
@@ -834,45 +623,22 @@ impl ReservationSystem {
     }
 
     /// The max sojourn over the hand-off estimation functions of `cell`'s
-    /// adjacent cells. Sharded: fanned out to the owning workers, reduced
-    /// in neighbor order.
+    /// adjacent cells.
     fn max_sojourn_around(&mut self, now: SimTime, cell: CellId) -> Option<Duration> {
-        let Self {
-            topology, backend, ..
-        } = self;
-        match backend {
-            Backend::Inline(sites) => topology
-                .neighbors(cell)
-                .iter()
-                .filter_map(|nb| sites[nb.index()].hoe.max_sojourn(now))
-                .reduce(Duration::max),
-            Backend::Sharded(pool) => {
-                let pending: Vec<_> = topology
-                    .neighbors(cell)
-                    .iter()
-                    .map(|&nb| pool.send_max_sojourn(nb, now))
-                    .collect();
-                let obs_on = qres_obs::enabled();
-                pending
-                    .into_iter()
-                    .filter_map(|rx| {
-                        let blocked_t0 = obs_on.then(std::time::Instant::now);
-                        let v = rx.recv().expect("shard worker terminated");
-                        if let Some(t0) = blocked_t0 {
-                            qres_obs::add_driver_blocked(t0.elapsed().as_nanos() as u64);
-                        }
-                        v
-                    })
-                    .reduce(Duration::max)
-            }
-        }
+        let sites = &mut self.sites;
+        self.topology
+            .neighbors(cell)
+            .iter()
+            .filter_map(|nb| sites[nb.index()].hoe.max_sojourn(now))
+            .reduce(Duration::max)
     }
 
     /// Ends a connection (lifetime expiry, or exit at a non-ring border):
     /// releases its bandwidth. Not a hand-off — no quadruplet is recorded.
     pub fn end_connection(&mut self, now: SimTime, id: ConnectionId, cell: CellId) {
-        let removed = self
-            .remove_conn(cell, id)
+        let removed = self.sites[cell.index()]
+            .cell
+            .remove(id)
             .expect("ending unknown connection");
         if qres_obs::enabled() {
             // The connection leaves the system: settle any live forecast
@@ -891,26 +657,13 @@ impl ReservationSystem {
 
     /// Mutable access to a cell's estimation cache (for examples and the
     /// footprint export).
-    ///
-    /// # Panics
-    ///
-    /// On the sharded backend — the cache lives on the cell's owning
-    /// worker.
     pub fn hoe_cache_mut(&mut self, id: CellId) -> &mut HoeCache {
-        match &mut self.backend {
-            Backend::Inline(sites) => &mut sites[id.index()].hoe,
-            Backend::Sharded(_) => {
-                panic!("hoe_cache_mut() requires the inline backend (workers <= 1)")
-            }
-        }
+        &mut self.sites[id.index()].hoe
     }
 
     /// Checks every cell's bandwidth-accounting invariant.
     pub fn check_invariants(&self) -> bool {
-        match &self.backend {
-            Backend::Inline(sites) => sites.iter().all(|s| s.cell.check_invariants()),
-            Backend::Sharded(pool) => pool.check_invariants(),
-        }
+        self.sites.iter().all(|s| s.cell.check_invariants())
     }
 }
 
@@ -1165,7 +918,7 @@ mod tests {
     fn ac3_recomputes_suspect_neighbors() {
         let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac3 });
         // Manually poison neighbor 1's last_br so it looks over-committed.
-        sys.set_last_br(CellId(1), 1_000.0);
+        sys.sites[1].last_br = 1_000.0;
         let before = sys.br_calcs_total();
         sys.request_new_connection(s(1.0), req(0, 1, 1));
         // 1 local + 1 suspect recompute.
@@ -1250,68 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_at_identical_instant_with_zero_tolerance() {
-        let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac1 });
-        // Populate a neighbor so contributions are non-trivial.
-        for i in 0..10 {
-            sys.request_new_connection(s(0.5 + i as f64 * 0.01), req(1, 500 + i, 1));
-        }
-        // Two admission tests in cell 0 at the same instant: the second
-        // finds both neighbor terms memoized (the admitted connection went
-        // into cell 0, not its neighbors).
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(1.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 2);
-        // N_calc and signaling keep counting logical computations.
-        assert_eq!(sys.n_calc_stats().mean(), Some(1.0));
-        // At a later instant, zero tolerance forces recomputation.
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(2.0), req(0, 3, 1));
-        assert_eq!(sys.br_memo_hits(), hits_before);
-    }
-
-    #[test]
-    fn memo_invalidated_by_neighbor_mutation() {
-        let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac1 });
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        // Mutate neighbor 1 (cell version bump) at the same instant; the
-        // next cell-0 test must recompute that term, while untouched
-        // neighbor 9's term still hits.
-        sys.request_new_connection(s(1.0), req(1, 100, 1));
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(1.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 1);
-    }
-
-    #[test]
-    fn positive_tolerance_reuses_and_matches_fresh_value() {
-        let config = {
-            let mut c =
-                QresConfig::paper_stationary(SchemeConfig::Predictive { kind: AcKind::Ac1 });
-            c.br_staleness_tolerance = Duration::from_secs(5.0);
-            c
-        };
-        let mut sys =
-            ReservationSystem::new(config, Topology::ring(10), BsNetworkKind::FullyConnected);
-        for i in 0..10 {
-            sys.request_new_connection(s(0.5 + i as f64 * 0.01), req(1, 500 + i, 1));
-        }
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        let first_br = sys.last_br(CellId(0));
-        // 2 s later, within tolerance, neighbors unchanged: both terms are
-        // reused and B_r repeats the memoized value.
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(3.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 2);
-        assert_eq!(sys.last_br(CellId(0)), first_br);
-        // Past the tolerance, both terms are recomputed.
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(9.0), req(0, 3, 1));
-        assert_eq!(sys.br_memo_hits(), hits_before);
-    }
-
-    #[test]
     #[should_panic(expected = "non-adjacent")]
     fn non_adjacent_handoff_panics_in_debug() {
         let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac3 });
@@ -1372,139 +1063,5 @@ mod tests {
         assert_eq!(admission_reqs.len(), 6);
         assert!(admission_reqs.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(br_reqs, admission_reqs, "each test pairs one B_r span");
-    }
-
-    // ---- sharded backend ----
-
-    fn sharded(scheme: SchemeConfig, workers: usize) -> ReservationSystem {
-        let config = QresConfig::paper_stationary(scheme);
-        ReservationSystem::with_workers(
-            config,
-            Topology::ring(10),
-            BsNetworkKind::FullyConnected,
-            workers,
-        )
-    }
-
-    /// A fixed mixed workload (admissions, hand-offs around the ring,
-    /// terminations) whose full observable signature is collected for
-    /// backend comparison.
-    #[allow(clippy::type_complexity)]
-    fn workload_signature(
-        sys: &mut ReservationSystem,
-    ) -> (
-        Vec<bool>,
-        Vec<(f64, u32, f64)>,
-        (Option<f64>, u64, u64, u64),
-        (u64, u64, u64),
-    ) {
-        let mut decisions = Vec::new();
-        for i in 0..40u64 {
-            let cell = (i % 10) as u32;
-            decisions.push(
-                sys.request_new_connection(s(1.0 + i as f64 * 0.1), req(cell, i, 2))
-                    .is_admitted(),
-            );
-        }
-        for i in 0..20u64 {
-            let from = (i % 10) as u32;
-            let to = ((i % 10) + 1) as u32 % 10;
-            let out = sys.attempt_handoff(
-                s(10.0 + i as f64 * 0.1),
-                ConnectionId(i),
-                CellId(from),
-                CellId(to),
-            );
-            decisions.push(out == HandoffOutcome::Completed);
-        }
-        for i in 20..40u64 {
-            sys.end_connection(
-                s(20.0 + i as f64 * 0.1),
-                ConnectionId(i),
-                CellId((i % 10) as u32),
-            );
-        }
-        for i in 100..140u64 {
-            let cell = (i % 10) as u32;
-            decisions.push(
-                sys.request_new_connection(s(30.0 + i as f64 * 0.05), req(cell, i, 3))
-                    .is_admitted(),
-            );
-        }
-        sys.quiesce();
-        let per_cell = (0..10)
-            .map(|c| {
-                let id = CellId(c);
-                (sys.last_br(id), sys.used_bus(id), sys.t_est(id).as_secs())
-            })
-            .collect();
-        let stats = sys.signaling().stats();
-        (
-            decisions,
-            per_cell,
-            (
-                sys.n_calc_stats().mean(),
-                sys.br_calcs_total(),
-                sys.br_memo_hits(),
-                sys.admission_requests_total(),
-            ),
-            (stats.messages, stats.hops, stats.bytes),
-        )
-    }
-
-    #[test]
-    fn sharded_backend_is_bit_identical_to_inline() {
-        for kind in [AcKind::Ac1, AcKind::Ac2, AcKind::Ac3] {
-            let scheme = SchemeConfig::Predictive { kind };
-            let reference = workload_signature(&mut system(scheme));
-            for workers in [2usize, 8] {
-                let mut sys = sharded(scheme, workers);
-                assert!(sys.is_sharded());
-                assert_eq!(sys.workers(), workers);
-                let got = workload_signature(&mut sys);
-                assert_eq!(got, reference, "{kind:?} diverged at workers={workers}");
-                assert!(sys.check_invariants());
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_preserves_memo_and_window_behavior() {
-        // The relocated per-target memo behaves exactly like the inline
-        // one: two same-instant tests hit, a later instant misses.
-        let mut sys = sharded(SchemeConfig::Predictive { kind: AcKind::Ac1 }, 4);
-        for i in 0..10 {
-            sys.request_new_connection(s(0.5 + i as f64 * 0.01), req(1, 500 + i, 1));
-        }
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(1.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 2);
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(2.0), req(0, 3, 1));
-        assert_eq!(sys.br_memo_hits(), hits_before);
-        // T_est starts at the paper's 1 s on every shard.
-        assert_eq!(sys.t_est(CellId(7)).as_secs(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown connection")]
-    fn sharded_ending_unknown_connection_panics() {
-        let mut sys = sharded(SchemeConfig::Predictive { kind: AcKind::Ac3 }, 2);
-        sys.end_connection(s(1.0), ConnectionId(9), CellId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "inline backend")]
-    fn sharded_cell_access_panics_with_guidance() {
-        let sys = sharded(SchemeConfig::Predictive { kind: AcKind::Ac1 }, 2);
-        let _ = sys.cell(CellId(0));
-    }
-
-    #[test]
-    fn worker_count_clamps_to_cell_count() {
-        let sys = sharded(SchemeConfig::Predictive { kind: AcKind::Ac1 }, 64);
-        assert_eq!(sys.workers(), 10, "10-cell ring caps the shard count");
-        assert!(sys.check_invariants());
     }
 }

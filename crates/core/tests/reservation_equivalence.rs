@@ -1,4 +1,4 @@
-//! Differential tests: the batched, epoch-memoized `B_r` path must answer
+//! Differential tests: the batched `B_r` path must answer
 //! exactly like the naive per-connection Eq.-4/Eq.-5 computation.
 //! (Seeded-RNG loops stand in for proptest, which is unavailable offline.)
 
@@ -90,10 +90,10 @@ fn batched_matches_naive_per_connection() {
     }
 }
 
-/// System-level: after random traffic, the memoized `B_r` the system
+/// System-level: after random traffic, the `B_r` the system
 /// reports equals a from-scratch naive recomputation over its neighbors.
 #[test]
-fn memoized_br_matches_naive_recomputation() {
+fn system_br_matches_naive_recomputation() {
     let mut rng = StreamRng::seed_from_u64(0xB47C_0002);
     for case in 0..20 {
         let kind = [AcKind::Ac1, AcKind::Ac2, AcKind::Ac3][case % 3];
@@ -183,7 +183,7 @@ fn memoized_br_matches_naive_recomputation() {
         }
         assert!(
             (reported - naive).abs() < 1e-9,
-            "case {case}: memoized B_r {reported} != naive {naive}"
+            "case {case}: system B_r {reported} != naive {naive}"
         );
     }
 }

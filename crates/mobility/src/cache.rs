@@ -217,9 +217,6 @@ struct ClassStore {
     last_event_time: Option<SimTime>,
     snapshot: Snapshot,
     dirty: bool,
-    /// Bumped on every mutation (record, including its pruning) *and* on
-    /// every snapshot rebuild: any change to what a query could answer.
-    epoch: u64,
 }
 
 /// Bucket width for the finite-`T_int` store, in seconds.
@@ -283,7 +280,6 @@ impl ClassStore {
             }
         }
         self.dirty = true;
-        self.epoch += 1;
         evicted
     }
 
@@ -364,7 +360,6 @@ impl ClassStore {
             max_sojourn,
         };
         self.dirty = false;
-        self.epoch += 1;
     }
 
     fn ensure_snapshot(
@@ -478,18 +473,6 @@ impl HoeCache {
             DayClass::Weekend => &mut self.weekend,
         };
         (store, window)
-    }
-
-    /// A version counter that changes whenever a query's answer could:
-    /// on every recorded quadruplet (including the pruning it triggers) and
-    /// on every snapshot rebuild (finite-`T_int` membership drifts with
-    /// `t_o`). Two queries with equal `(t_o, arguments)` bracketing an
-    /// unchanged version return identical results — the invalidation key of
-    /// the epoch-memoized `B_r` computation upstream.
-    pub fn version(&self) -> u64 {
-        // Each mutation bumps exactly one class epoch, so the sum is
-        // strictly monotone over mutations.
-        self.weekday.epoch + self.weekend.epoch
     }
 
     /// The rebuilt, query-ready snapshot pairs at `t_o` — the batched

@@ -10,9 +10,7 @@
 //! * `violation_clock` — per cell: `qres_qos_violation_seconds_total`
 //!   advanced inside the window (the cell sat above target);
 //! * `push_errors` — global: `qres_obs_push_errors_total` advanced inside
-//!   the window (the export plane is failing);
-//! * `worker_down` — per shard worker: stopped while other workers are
-//!   still alive (a clean shutdown stops *all* workers and does not fire).
+//!   the window (the export plane is failing).
 //!
 //! Each rule is evaluated over two windows, SRE burn-rate style: a fast
 //! window (default [`FAST_WINDOW_SECS`], 5 sim-min) for responsiveness
@@ -26,7 +24,7 @@
 //! ```
 //!
 //! All timestamps are simulation time quantized by the tsdb cadence, so
-//! the alert timeline is bit-identical across reruns and worker counts.
+//! the alert timeline is bit-identical across reruns.
 //! Alerts are derived state only — nothing here feeds back into the
 //! simulation. Sim-side consumers (the planned AC4 controller) read
 //! [`alerts_snapshot`] / [`firing_alerts`] directly, no HTTP needed.
@@ -63,16 +61,9 @@ pub const RULE_P_HD_BURN: &str = "p_hd_burn";
 pub const RULE_VIOLATION_CLOCK: &str = "violation_clock";
 /// Rule name: push exporter errors inside the window.
 pub const RULE_PUSH_ERRORS: &str = "push_errors";
-/// Rule name: a shard worker stopped while others are still alive.
-pub const RULE_WORKER_DOWN: &str = "worker_down";
 
 /// The default rule set, in evaluation order.
-pub const RULE_NAMES: [&str; 4] = [
-    RULE_P_HD_BURN,
-    RULE_VIOLATION_CLOCK,
-    RULE_PUSH_ERRORS,
-    RULE_WORKER_DOWN,
-];
+pub const RULE_NAMES: [&str; 3] = [RULE_P_HD_BURN, RULE_VIOLATION_CLOCK, RULE_PUSH_ERRORS];
 
 /// Entity id used for global (non-per-cell) rules.
 const ENTITY_GLOBAL: i64 = -1;
@@ -139,8 +130,7 @@ impl Default for AlertConfig {
 pub struct AlertSnapshot {
     /// Rule name (one of [`RULE_NAMES`]).
     pub rule: &'static str,
-    /// Cell id (or worker index for [`RULE_WORKER_DOWN`]); `None` for
-    /// global rules.
+    /// Cell id; `None` for global rules.
     pub cell: Option<u32>,
     /// Current lifecycle state.
     pub state: AlertState,
@@ -296,19 +286,11 @@ pub fn evaluate(now: f64) {
             slow_burn: delta(slow_since),
         });
     }
-    for worker in crate::worker::stalled_workers() {
-        signals.push(Signal {
-            rule: RULE_WORKER_DOWN,
-            entity: worker as i64,
-            fast_burn: 1.0,
-            slow_burn: 1.0,
-        });
-    }
 
     with_plane(|p| {
         let threshold = p.config.burn_threshold;
-        // Entries with no signal this pass (series gone, worker no
-        // longer stalled) still step the machine, with a clean signal.
+        // Entries with no signal this pass (series gone) still step the
+        // machine, with a clean signal.
         let mut keys: Vec<(&'static str, i64)> =
             signals.iter().map(|s| (s.rule, s.entity)).collect();
         for key in p.entries.keys() {
@@ -892,35 +874,5 @@ mod tests {
 
         assert!(render_watch("{\"no\":\"alerts\"}").is_err());
         assert!(render_watch("not json at all").is_err());
-    }
-
-    #[test]
-    fn worker_down_fires_only_for_stalled_workers() {
-        let _g = LOCK.lock().unwrap();
-        reset_all();
-        crate::worker::reset_workers();
-        crate::worker::configure_workers(2);
-        crate::worker::worker_stopped(1); // worker 0 still alive → stalled
-
-        assert!(crate::tsdb::maybe_sample(60.0));
-        evaluate(60.0);
-        let firing = firing_alerts();
-        assert!(
-            firing
-                .iter()
-                .any(|a| a.rule == RULE_WORKER_DOWN && a.cell == Some(1)),
-            "stalled worker fires: {firing:?}"
-        );
-
-        // Clean shutdown: the remaining worker stops too → no stall.
-        crate::worker::worker_stopped(0);
-        assert!(crate::tsdb::maybe_sample(120.0));
-        evaluate(120.0);
-        assert!(
-            firing_alerts().is_empty(),
-            "all-stopped is a clean end, not a stall"
-        );
-        crate::worker::reset_workers();
-        reset_all();
     }
 }

@@ -13,10 +13,9 @@ use crate::recorder::Level;
 /// A structured observability event.
 ///
 /// The event families required by the telemetry spec: admission
-/// decisions, `B_r` recompute-vs-memo accounting, `T_est` window changes,
-/// HOE quadruplet insert/evict, DES queue high-water marks, backbone
-/// message sends, and the shard-plane epoch accounting (per-worker epoch
-/// summaries and the driver's barrier breakdown).
+/// decisions, `B_r` computations, `T_est` window changes, HOE quadruplet
+/// insert/evict, DES queue high-water marks, backbone message sends, SLO
+/// alert transitions and flight captures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsEvent {
     /// A new-connection admission test completed.
@@ -42,8 +41,8 @@ pub enum ObsEvent {
         /// telemetry only, never fed back into the simulation).
         dur_ns: u64,
     },
-    /// One `compute_br` call: how many neighbor terms were served from the
-    /// epoch memo versus recomputed through Eq. 4.
+    /// One `compute_br` call: the neighbor terms it evaluated through Eq. 4
+    /// and the resulting `B_r`.
     BrCompute {
         /// Sim-time of the computation (seconds).
         t: f64,
@@ -52,9 +51,7 @@ pub enum ObsEvent {
         /// The admission-request id this computation belongs to (child
         /// span of the matching `Admission` event).
         req: u64,
-        /// Neighbor terms served from the memo.
-        memo_hits: u32,
-        /// Neighbor terms recomputed.
+        /// Neighbor terms evaluated.
         recomputed: u32,
         /// The resulting `B_r` (BUs).
         br: f64,
@@ -117,23 +114,6 @@ pub enum ObsEvent {
         /// Nominal payload size (bytes).
         bytes: u64,
     },
-    /// A shard worker completed an epoch: its busy/idle accounting since
-    /// the previous quiesce barrier (one per worker per epoch; renders as
-    /// a worker-lane span in `qres obstrace`).
-    WorkerEpoch {
-        /// Sim-time of the barrier (seconds).
-        t: f64,
-        /// Shard worker index (`qres-shard-{worker}`).
-        worker: u32,
-        /// The epoch this worker just completed.
-        epoch: u64,
-        /// Nanoseconds spent processing messages this epoch.
-        busy_ns: u64,
-        /// Nanoseconds spent waiting on an empty mailbox this epoch.
-        idle_ns: u64,
-        /// Messages processed this epoch.
-        msgs: u64,
-    },
     /// The SLO watchdog moved an alert through its state machine
     /// (`pending` → `firing` → `resolved`); replayed offline by
     /// `qres obswatch`.
@@ -142,15 +122,13 @@ pub enum ObsEvent {
         t: f64,
         /// Alert rule name (see `crate::alert::RULE_NAMES`).
         rule: &'static str,
-        /// Cell id (or worker index for `worker_down`); `None` for
-        /// global rules.
+        /// Cell id; `None` for global rules.
         cell: Option<u32>,
         /// The state entered (`pending`/`firing`/`resolved`).
         state: &'static str,
     },
-    /// The DES driver completed an epoch barrier: the wall-clock breakdown
-    /// of the epoch that just ended (one per epoch; renders as barrier and
-    /// serial spans on the epoch lane in `qres obstrace`).
+    /// An epoch barrier's wall-clock breakdown. Stays for
+    /// `perfbench/src/mirror.rs` until the next benchmark change.
     EpochBarrier {
         /// Sim-time of the barrier (seconds).
         t: f64,
@@ -158,11 +136,11 @@ pub enum ObsEvent {
         epoch: u64,
         /// Wall clock since the previous barrier completed (ns).
         wall_ns: u64,
-        /// Wall clock of the quiesce drain itself (ns).
+        /// Wall clock of the barrier itself (ns).
         barrier_ns: u64,
-        /// Driver time blocked on synchronous shard replies (ns).
+        /// Always 0 (ns).
         blocked_ns: u64,
-        /// Residual single-threaded driver time (ns).
+        /// `wall_ns − barrier_ns` (ns).
         serial_ns: u64,
     },
     /// An alert transition to `firing` froze a flight-recorder window to
@@ -191,7 +169,6 @@ impl ObsEvent {
             ObsEvent::Admission { .. }
             | ObsEvent::TEstChange { .. }
             | ObsEvent::QueueHighWater { .. }
-            | ObsEvent::WorkerEpoch { .. }
             | ObsEvent::AlertTransition { .. }
             | ObsEvent::EpochBarrier { .. }
             | ObsEvent::FlightCapture { .. } => Level::Info,
@@ -212,7 +189,6 @@ impl ObsEvent {
             ObsEvent::HoeEvict { .. } => "hoe_evict",
             ObsEvent::QueueHighWater { .. } => "queue_high_water",
             ObsEvent::BackboneSend { .. } => "backbone_send",
-            ObsEvent::WorkerEpoch { .. } => "worker_epoch",
             ObsEvent::AlertTransition { .. } => "alert_transition",
             ObsEvent::EpochBarrier { .. } => "epoch_barrier",
             ObsEvent::FlightCapture { .. } => "flight_capture",
@@ -253,7 +229,6 @@ impl ObsEvent {
             ObsEvent::BrCompute {
                 cell,
                 req,
-                memo_hits,
                 recomputed,
                 br,
                 dur_ns,
@@ -261,7 +236,6 @@ impl ObsEvent {
             } => {
                 fields.push(("cell".into(), Value::UInt(u64::from(*cell))));
                 fields.push(("req".into(), Value::UInt(*req)));
-                fields.push(("memo_hits".into(), Value::UInt(u64::from(*memo_hits))));
                 fields.push(("recomputed".into(), Value::UInt(u64::from(*recomputed))));
                 fields.push(("br".into(), Value::Float(*br)));
                 fields.push(("dur_ns".into(), Value::UInt(*dur_ns)));
@@ -308,20 +282,6 @@ impl ObsEvent {
                 fields.push(("to".into(), Value::UInt(u64::from(*to))));
                 fields.push(("kind".into(), Value::Str((*kind).to_string())));
                 fields.push(("bytes".into(), Value::UInt(*bytes)));
-            }
-            ObsEvent::WorkerEpoch {
-                worker,
-                epoch,
-                busy_ns,
-                idle_ns,
-                msgs,
-                ..
-            } => {
-                fields.push(("worker".into(), Value::UInt(u64::from(*worker))));
-                fields.push(("epoch".into(), Value::UInt(*epoch)));
-                fields.push(("busy_ns".into(), Value::UInt(*busy_ns)));
-                fields.push(("idle_ns".into(), Value::UInt(*idle_ns)));
-                fields.push(("msgs".into(), Value::UInt(*msgs)));
             }
             ObsEvent::AlertTransition {
                 rule, cell, state, ..
@@ -376,12 +336,18 @@ impl ObsEvent {
             | ObsEvent::HoeEvict { t, .. }
             | ObsEvent::QueueHighWater { t, .. }
             | ObsEvent::BackboneSend { t, .. }
-            | ObsEvent::WorkerEpoch { t, .. }
             | ObsEvent::AlertTransition { t, .. }
             | ObsEvent::EpochBarrier { t, .. }
             | ObsEvent::FlightCapture { t, .. } => *t,
         }
     }
+}
+
+/// The `(blocked_ns, serial_ns)` fields of an [`ObsEvent::EpochBarrier`]:
+/// `(0, wall_ns − barrier_ns)`. Stays for `perfbench/src/mirror.rs` until
+/// the next benchmark change.
+pub fn record_epoch(wall_ns: u64, barrier_ns: u64) -> (u64, u64) {
+    (0, wall_ns.saturating_sub(barrier_ns))
 }
 
 /// Renders events as JSONL: one compact JSON object per line.
@@ -414,8 +380,7 @@ mod tests {
                 t: 2.0,
                 cell: 4,
                 req: 41,
-                memo_hits: 1,
-                recomputed: 1,
+                recomputed: 2,
                 br: 3.0,
                 dur_ns: 800,
             },
@@ -445,14 +410,6 @@ mod tests {
                 to: 3,
                 kind: "reservation_query",
                 bytes: 32,
-            },
-            ObsEvent::WorkerEpoch {
-                t: 10.0,
-                worker: 1,
-                epoch: 1,
-                busy_ns: 42_000,
-                idle_ns: 958_000,
-                msgs: 17,
             },
             ObsEvent::EpochBarrier {
                 t: 10.0,
@@ -498,7 +455,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_value_parse() {
         let text = events_to_jsonl(&sample_events());
-        assert_eq!(text.lines().count(), 11);
+        assert_eq!(text.lines().count(), 10);
         for line in text.lines() {
             let v = Value::parse(line).expect("line must parse");
             assert!(matches!(v, Value::Object(_)));

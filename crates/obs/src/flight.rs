@@ -1,7 +1,7 @@
 //! Decision-provenance flight recorder: a bounded ring "black box" of
 //! complete admission decision records.
 //!
-//! Every admission verdict (any scheme, any backend) can be taped here with
+//! Every admission verdict (any scheme) can be taped here with
 //! its full input vector: the requested BU, the cell's occupancy and
 //! capacity, the reserve threshold compared against, and — for the
 //! predictive schemes — the per-neighbor `B_i,0` contributions with their
@@ -9,13 +9,10 @@
 //! order. Records are keyed by the simulator's `admission_req_seq`, so a
 //! record is a globally unique, replayable account of one decision.
 //!
-//! Threading follows the shard-plane telemetry discipline: the driver
-//! thread assembles and pushes records; workers that evaluate neighbor
-//! contributions stage their per-term `p_h` detail in thread-local buffers
-//! and drain them at the quiesce barrier (`drain_thread_details`), where
-//! the matching records already sit in the ring. The recorder is strictly
-//! passive — on or off, inline or sharded, every simulation output is
-//! bit-identical.
+//! The reservation core stages a record's parts (per-term vectors,
+//! feasibility checks) in thread-local buffers while it decides, and
+//! pushes the assembled record once the verdict is known. The recorder is
+//! strictly passive — on or off, every simulation output is bit-identical.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -34,18 +31,15 @@ pub const CAPTURE_WINDOW: usize = 256;
 /// One per-neighbor `B_i,0` contribution inside a decision record.
 ///
 /// `p_h_sum`/`conns` carry the Eq.-4 detail (sum of remaining-handoff
-/// probabilities over the `conns` connections that contributed) when the
-/// term was freshly evaluated; a memo hit reuses a prior evaluation and
-/// carries no detail.
+/// probabilities over the `conns` connections that contributed); the NS
+/// baseline's terms carry none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightTerm {
     /// Contributing neighbor cell id.
     pub neighbor: u32,
     /// The `B_i,0` value folded into `B_r` (BUs).
     pub value: f64,
-    /// True when the tolerance memo served this term without re-evaluation.
-    pub memo_hit: bool,
-    /// Sum of per-connection `p_h` terms behind `value` (fresh evals only).
+    /// Sum of per-connection `p_h` terms behind `value`.
     pub p_h_sum: Option<f64>,
     /// Number of connections that contributed to `p_h_sum`.
     pub conns: Option<u32>,
@@ -54,7 +48,6 @@ pub struct FlightTerm {
 qres_json::json_struct!(FlightTerm {
     neighbor,
     value,
-    memo_hit,
     p_h_sum,
     conns
 });
@@ -153,16 +146,10 @@ static PLANE: Mutex<FlightPlane> = Mutex::new(FlightPlane {
     capture_dir: None,
 });
 
-/// `(req, target_cell, contributor_cell, p_h_sum, conns)` staged on the
-/// evaluating thread until the quiesce barrier drains it.
-type StagedDetail = (u64, u32, u32, f64, u32);
-
 thread_local! {
-    /// Unkeyed Eq.-4 scratch: set by `neighbor_contribution` on a fresh
-    /// evaluation, taken immediately by the memo layer on the same thread.
+    /// Eq.-4 scratch: set by `neighbor_contribution`, taken immediately
+    /// by `compute_br` on the same thread.
     static EVAL_DETAIL: Cell<Option<(f64, u32)>> = const { Cell::new(None) };
-    /// Keyed per-term detail awaiting the quiesce drain.
-    static STAGED_DETAILS: RefCell<Vec<StagedDetail>> = const { RefCell::new(Vec::new()) };
     /// Driver-side `B_r` term vectors keyed by `(req, target)`.
     static STAGED_TERMS: RefCell<Vec<(u64, u32, Vec<FlightTerm>)>> =
         const { RefCell::new(Vec::new()) };
@@ -207,51 +194,10 @@ pub fn stage_eval_detail(p_h_sum: f64, conns: u32) {
     EVAL_DETAIL.with(|c| c.set(Some((p_h_sum, conns))));
 }
 
-/// Takes the staged evaluation detail (None after a memo hit).
+/// Takes the staged evaluation detail.
 #[inline]
 pub fn take_eval_detail() -> Option<(f64, u32)> {
     EVAL_DETAIL.with(Cell::take)
-}
-
-/// Stages keyed per-term detail on the evaluating thread; attached to the
-/// matching ring record at the next [`drain_thread_details`].
-#[inline]
-pub fn stage_term_detail(req: u64, target: u32, contributor: u32, p_h_sum: f64, conns: u32) {
-    STAGED_DETAILS.with(|d| {
-        d.borrow_mut()
-            .push((req, target, contributor, p_h_sum, conns));
-    });
-}
-
-/// Drains this thread's staged term details into the ring, attaching each
-/// to its record's matching fresh-eval term. Details whose record was
-/// evicted (or belonged to a neighbor-side `B_r` computation that never
-/// became a record) are discarded. Workers call this at the quiesce
-/// barrier; the driver calls it implicitly from [`record`].
-pub fn drain_thread_details() {
-    let staged = STAGED_DETAILS.with(|d| std::mem::take(&mut *d.borrow_mut()));
-    if staged.is_empty() {
-        return;
-    }
-    let mut p = PLANE.lock().unwrap();
-    for (req, target, contributor, p_h_sum, conns) in staged {
-        let Some(rec) = p
-            .records
-            .iter_mut()
-            .rev()
-            .find(|r| r.req == req && r.cell == target)
-        else {
-            continue;
-        };
-        if let Some(term) = rec
-            .terms
-            .iter_mut()
-            .find(|t| t.neighbor == contributor && !t.memo_hit)
-        {
-            term.p_h_sum = Some(p_h_sum);
-            term.conns = Some(conns);
-        }
-    }
 }
 
 /// Stages the per-neighbor term vector a `compute_br` call produced, keyed
@@ -289,18 +235,14 @@ pub fn take_checks() -> Vec<FlightCheck> {
 }
 
 /// Pushes a completed decision record into the ring (evicting the oldest
-/// beyond capacity), then drains this thread's staged term details so the
-/// inline backend attaches Eq.-4 detail immediately.
+/// beyond capacity).
 pub fn record(rec: FlightRecord) {
-    {
-        let mut p = PLANE.lock().unwrap();
-        if p.records.len() >= p.capacity {
-            p.records.pop_front();
-            p.dropped += 1;
-        }
-        p.records.push_back(rec);
+    let mut p = PLANE.lock().unwrap();
+    if p.records.len() >= p.capacity {
+        p.records.pop_front();
+        p.dropped += 1;
     }
-    drain_thread_details();
+    p.records.push_back(rec);
 }
 
 /// Names the dominant factor behind a record's verdict.
@@ -530,7 +472,6 @@ pub fn render_explain(doc: &Value) -> Result<String, String> {
         for term in &rec.terms {
             let detail = match (term.p_h_sum, term.conns) {
                 (Some(p), Some(n)) => format!(" p_h_sum={p:.4} conns={n}"),
-                _ if term.memo_hit => " (memo)".to_string(),
                 _ => String::new(),
             };
             let _ = writeln!(
@@ -619,7 +560,6 @@ pub fn reset_flight() {
         p.capture_dir = None;
     }
     let _ = take_eval_detail();
-    STAGED_DETAILS.with(|d| d.borrow_mut().clear());
     STAGED_TERMS.with(|t| t.borrow_mut().clear());
     let _ = take_checks();
 }
@@ -643,14 +583,12 @@ mod tests {
                 FlightTerm {
                     neighbor: cell + 1,
                     value: 2.125,
-                    memo_hit: false,
                     p_h_sum: Some(2.125),
                     conns: Some(7),
                 },
                 FlightTerm {
                     neighbor: cell + 2,
                     value: 2.125,
-                    memo_hit: true,
                     p_h_sum: None,
                     conns: None,
                 },
@@ -675,7 +613,6 @@ mod tests {
         json_round_trips_records_exactly();
         explain_filters_by_req_and_cell();
         denial_causes_classify();
-        details_attach_at_drain();
         staged_terms_key_by_req_and_target();
         capture_writes_window_file();
     }
@@ -741,33 +678,11 @@ mod tests {
         assert_eq!(denial_cause(&pressure), "reservation_pressure");
     }
 
-    fn details_attach_at_drain() {
-        reset_flight();
-        let mut rec = sample_record(9, 4, true);
-        rec.terms[0].p_h_sum = None;
-        rec.terms[0].conns = None;
-        record(rec);
-        // Worker-style: detail staged after the record exists, drained at
-        // the barrier.
-        stage_term_detail(9, 4, 5, 1.875, 6);
-        stage_term_detail(9, 99, 5, 0.5, 1); // no matching record: discarded
-        drain_thread_details();
-        let records = records_from_doc(&flight_json()).unwrap();
-        assert_eq!(records[0].terms[0].p_h_sum, Some(1.875));
-        assert_eq!(records[0].terms[0].conns, Some(6));
-        assert_eq!(
-            records[0].terms[1].p_h_sum, None,
-            "memo-hit terms never gain detail"
-        );
-        reset_flight();
-    }
-
     fn staged_terms_key_by_req_and_target() {
         reset_flight();
         let own = vec![FlightTerm {
             neighbor: 5,
             value: 1.5,
-            memo_hit: false,
             p_h_sum: None,
             conns: None,
         }];

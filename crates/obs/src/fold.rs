@@ -118,9 +118,9 @@ mod tests {
     #[test]
     fn pairs_children_under_their_admission() {
         let jsonl = concat!(
-            r#"{"type":"br_compute","t":1.0,"cell":7,"req":1,"memo_hits":0,"recomputed":2,"br":3.0,"dur_ns":400}"#,
+            r#"{"type":"br_compute","t":1.0,"cell":7,"req":1,"recomputed":2,"br":3.0,"dur_ns":400}"#,
             "\n",
-            r#"{"type":"br_compute","t":1.0,"cell":8,"req":1,"memo_hits":1,"recomputed":1,"br":2.0,"dur_ns":250}"#,
+            r#"{"type":"br_compute","t":1.0,"cell":8,"req":1,"recomputed":2,"br":2.0,"dur_ns":250}"#,
             "\n",
             r#"{"type":"admission","t":1.0,"cell":7,"req":1,"scheme":"AC3","admitted":true,"blocked_by_neighbor":null,"br":3.0,"dur_ns":1000}"#,
             "\n",

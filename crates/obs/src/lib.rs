@@ -5,24 +5,24 @@
 //!
 //! * [`event`] / [`recorder`] — a level-filtered, fixed-capacity ring
 //!   buffer of typed structured events ([`ObsEvent`]): admission
-//!   decisions, `B_r` recompute-vs-memo accounting, `T_est` window moves,
+//!   decisions, `B_r` computations, `T_est` window moves,
 //!   HOE quadruplet insert/evict, DES queue high-water marks, and
 //!   backbone message sends — each carrying sim-time and cell id, and
 //!   drainable to JSONL.
 //! * [`metrics`] — a registry of `const`-constructible atomic counters,
 //!   max-gauges, and log-linear timing histograms over the hot paths:
-//!   admission tests, batched Eq.-4 sweeps, `compute_br` memo hits vs.
-//!   misses, event dispatch, sweep points.
+//!   admission tests, batched Eq.-4 sweeps, `compute_br` terms, event
+//!   dispatch, sweep points.
 //! * [`export`] — Prometheus text exposition, a JSON snapshot merged into
 //!   `qres-sim` run reports, and an in-repo exposition lint for CI.
 //! * [`serve`] — a hand-rolled `std::net` HTTP scrape endpoint
-//!   (`/metrics`, `/metrics.json`, `/qos`, `/workers`, `/healthz`) so
+//!   (`/metrics`, `/metrics.json`, `/qos`, `/healthz`, ...) so
 //!   Prometheus/Grafana can watch a long sweep live instead of waiting
 //!   for the final snapshot.
 //! * [`fold`] / [`trace`] — offline renderers over the spilled event
 //!   stream: folded stacks for `flamegraph.pl`/inferno (`qres obsfold`),
-//!   Perfetto-importable trace-event JSON with per-worker epoch lanes
-//!   (`qres obstrace`), and a structural span diff between two traces
+//!   Perfetto-importable trace-event JSON (`qres obstrace`), and a
+//!   structural span diff between two traces
 //!   (`qres obstrace --diff`).
 //! * [`qos`] — live QoS-conformance tracking: per-cell sliding-window
 //!   `P_HD`/`P_CB` estimators with Wilson intervals, violation-seconds
@@ -35,11 +35,8 @@
 //!   for batch runs nothing scrapes.
 //! * [`diff`] — cross-run diff of two `/metrics.json` snapshots
 //!   (`qres obsdiff`).
-//! * [`worker`] — shard-plane profiling: per-worker busy/idle accounting,
-//!   per-kind mailbox depth/dwell telemetry, and the per-epoch barrier
-//!   breakdown behind the measured serial fraction (`qres obsworkers`).
 //! * [`tsdb`] — the SLO watchdog's retention store: a ring-buffer
-//!   time-series database sampling the QoS/worker/registry families on a
+//!   time-series database sampling the QoS/registry families on a
 //!   sim-time cadence, queryable at `GET /query` and rendered as unicode
 //!   sparklines by `qres obstop`.
 //! * [`alert`] — burn-rate SLO alerting over the retention store:
@@ -88,7 +85,6 @@ pub mod recorder;
 pub mod serve;
 pub mod trace;
 pub mod tsdb;
-pub mod worker;
 
 pub use alert::{
     alert_config, alerts_json, alerts_snapshot, evaluate as evaluate_alerts,
@@ -100,7 +96,7 @@ pub use calib::{
     reset_calib, stage_prediction, sweep_expired,
 };
 pub use diff::{check_fail_on, diff_snapshots};
-pub use event::{events_to_jsonl, ObsEvent};
+pub use event::{events_to_jsonl, record_epoch, ObsEvent};
 pub use export::{escape_label_value, prometheus_text, snapshot_json, validate_prometheus_text};
 pub use flight::{
     denial_cause, explain_json, flight_enabled, flight_json, flight_summary_json, records_from_doc,
@@ -127,9 +123,4 @@ pub use trace::{diff_traces, perfetto_trace};
 pub use tsdb::{
     query_json, render_obstop, reset_tsdb, set_tsdb_sample_secs, set_watchdog_enabled, sparkline,
     tsdb_sample_secs, watchdog_enabled, watchdog_tick,
-};
-pub use worker::{
-    add_driver_blocked, busy_fractions, configure_workers, flush_worker, record_epoch, record_recv,
-    record_send, render_workers_report, reset_workers, scaling_summary, stalled_workers,
-    worker_stopped, workers_json, ScalingSummary, MSG_KINDS,
 };

@@ -266,7 +266,6 @@ mod tests {
                 t: f64::from(i),
                 cell: 0,
                 req: u64::from(i),
-                memo_hits: 0,
                 recomputed: 1,
                 br: 0.0,
                 dur_ns: 0,
@@ -310,7 +309,6 @@ mod tests {
             t: 1.0,
             cell: 0,
             req: 1,
-            memo_hits: 0,
             recomputed: 1,
             br: 0.0,
             dur_ns: 0,

@@ -4,7 +4,7 @@
 //! end-of-run `obs_snapshot.prom`.
 //!
 //! Same zero-dependency discipline as the rest of the crate: blocking
-//! `std::net` on one background thread, minimal HTTP/1.1, eight routes:
+//! `std::net` on one background thread, minimal HTTP/1.1, seven routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition 0.0.4
 //!   ([`crate::export::prometheus_text`], lint-clean by construction);
@@ -13,13 +13,10 @@
 //! * `GET /qos` — the QoS-conformance view ([`crate::qos::qos_json`]):
 //!   windowed `P_HD`/`P_CB` estimators, violation clocks, efficiency
 //!   integrals, Eq.-4 calibration;
-//! * `GET /workers` — the shard-plane view ([`crate::worker::workers_json`]):
-//!   per-worker busy/idle accounting, epoch barrier breakdown, serial
-//!   fraction, mailbox depth/dwell per message kind;
 //! * `GET /query?metric=...&cell=...&since=...` — the SLO watchdog's
 //!   retention store ([`crate::tsdb::query_json`]): without `metric`, a
 //!   catalog of retained series (min/max/last); with it, full point
-//!   arrays, `cell` narrowing to one cell id / worker index / `other`,
+//!   arrays, `cell` narrowing to one cell id / `other`,
 //!   `since=<sim_ts>` keeping only points newer than a prior poll;
 //! * `GET /alerts` — the burn-rate alert view
 //!   ([`crate::alert::alerts_json`]): config, fired totals, the alert
@@ -27,10 +24,8 @@
 //! * `GET /explain?req=SEQ` / `GET /explain?cell=N&last=K` — the flight
 //!   recorder ([`crate::flight::explain_json`]): complete admission
 //!   decision records with their classified denial cause;
-//! * `GET /healthz` — liveness probe. `200 ok` (plus one
-//!   `worker N alive|stopped last_epoch=E` line per shard worker) while
-//!   healthy; `503 degraded` naming the offenders when a shard worker
-//!   stalled mid-run or any SLO alert is firing.
+//! * `GET /healthz` — liveness probe. `200 ok` while healthy;
+//!   `503 degraded` naming every firing SLO alert.
 //!
 //! The server is strictly read-only over relaxed atomics — attaching it
 //! cannot perturb a running simulation (the obs on/off determinism test
@@ -150,11 +145,6 @@ fn route(path: &str) -> (&'static str, &'static str, String) {
             "application/json",
             crate::qos::qos_json().to_compact_string(),
         ),
-        "/workers" => (
-            "200 OK",
-            "application/json",
-            crate::worker::workers_json().to_compact_string(),
-        ),
         "/query" => (
             "200 OK",
             "application/json",
@@ -186,7 +176,7 @@ fn route(path: &str) -> (&'static str, &'static str, String) {
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found (routes: /metrics, /metrics.json, /qos, /workers, /query, /alerts, /explain, /healthz)\n"
+            "not found (routes: /metrics, /metrics.json, /qos, /query, /alerts, /explain, /healthz)\n"
                 .to_string(),
         ),
     }
@@ -202,25 +192,14 @@ fn query_param(path: &str, key: &str) -> Option<String> {
     })
 }
 
-/// The liveness probe: `503 degraded` naming every stalled shard worker
-/// (stopped while siblings run — a clean shutdown stops all of them and
-/// stays `200`) and every firing SLO alert; `200 ok` otherwise. Either
-/// way the per-worker liveness lines follow, so degraded-but-alive detail
-/// is always in the body.
+/// The liveness probe: `503 degraded` naming every firing SLO alert;
+/// `200 ok` otherwise.
 fn healthz() -> (&'static str, &'static str, String) {
-    let stalled = crate::worker::stalled_workers();
     let firing = crate::alert::firing_alerts();
-    if stalled.is_empty() && firing.is_empty() {
-        return (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            format!("ok\n{}", crate::worker::healthz_fragment()),
-        );
+    if firing.is_empty() {
+        return ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string());
     }
     let mut body = String::from("degraded\n");
-    for w in stalled {
-        body.push_str(&format!("stalled: worker {w}\n"));
-    }
     for a in firing {
         match a.cell {
             Some(cell) => body.push_str(&format!(
@@ -230,7 +209,6 @@ fn healthz() -> (&'static str, &'static str, String) {
             None => body.push_str(&format!("firing: {} since={}\n", a.rule, a.since)),
         }
     }
-    body.push_str(&crate::worker::healthz_fragment());
     ("503 Service Unavailable", "text/plain; charset=utf-8", body)
 }
 
@@ -300,9 +278,9 @@ mod tests {
         assert_ne!(server.port(), 0);
 
         let (head, body) = http_get(server.addr(), "/healthz");
-        // Worker/alert tests in this crate may have registered stalled
-        // workers or firing alerts concurrently, so both probe outcomes
-        // are legal here; the dedicated healthz test pins each path.
+        // Alert tests in this crate may have registered firing alerts
+        // concurrently, so both probe outcomes are legal here; the
+        // dedicated healthz test pins each path.
         assert!(
             head.starts_with("HTTP/1.1 200") || head.starts_with("HTTP/1.1 503"),
             "head: {head}"
@@ -327,20 +305,6 @@ mod tests {
         assert!(qos.get("window_secs").is_some());
         assert!(qos.get("cells").is_some());
         assert!(qos.get("calib").is_some());
-
-        let (head, body) = http_get(server.addr(), "/workers");
-        assert!(head.starts_with("HTTP/1.1 200"));
-        let workers = qres_json::Value::parse(&body).expect("/workers must serve valid JSON");
-        assert!(workers.get("workers").is_some());
-        assert!(workers.get("epochs").is_some());
-        assert!(
-            workers
-                .get("epochs")
-                .unwrap()
-                .get("serial_fraction")
-                .is_some(),
-            "/workers must always report a serial fraction"
-        );
 
         let (head, body) = http_get(server.addr(), "/query");
         assert!(head.starts_with("HTTP/1.1 200"));

@@ -17,14 +17,8 @@
 //!
 //! Like `obsfold`, pairing is streaming (children buffer under their
 //! `req` until the parent admission arrives), so the stream should come
-//! from a single-threaded run.
-//!
-//! Sharded runs additionally get one lane per shard worker (back-to-back
-//! `busy`/`idle` spans from each `worker_epoch` event) and an `epoch
-//! barriers` lane where every `epoch_barrier` event renders as an `epoch`
-//! span with `barrier`/`blocked`/`serial` children — the wall-clock
-//! anatomy of the scaling bottleneck, visually. [`diff_traces`] compares
-//! two rendered traces structurally (`qres obstrace --diff`).
+//! from a single-threaded run. [`diff_traces`] compares two rendered
+//! traces structurally (`qres obstrace --diff`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,13 +30,6 @@ const TRACK_GAP_NS: u64 = 1_000;
 
 /// The `pid` all synthetic tracks live under.
 const PID: u64 = 1;
-
-/// `tid` base for shard-worker lanes (`tid = WORKER_TID_BASE + worker`),
-/// far above any cell id so the lanes never collide with cell tracks.
-const WORKER_TID_BASE: u64 = 1_000_000;
-
-/// `tid` of the epoch-barrier lane.
-const EPOCH_TID: u64 = 999_999;
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -62,7 +49,6 @@ fn us(ns: u64) -> Value {
 struct PendingBr {
     cell: u64,
     dur_ns: u64,
-    memo_hits: u64,
     recomputed: u64,
 }
 
@@ -84,9 +70,6 @@ pub fn perfetto_trace(jsonl: &str) -> Result<Value, String> {
     // Per-cell synthetic-track cursors (ns). BTreeMap: tracks get their
     // metadata emitted in cell order.
     let mut cursors: BTreeMap<u64, u64> = BTreeMap::new();
-    // Shard-worker lane cursors (key = worker index) and the epoch lane.
-    let mut worker_cursors: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut epoch_cursor: Option<u64> = None;
     let mut pending: BTreeMap<u64, Vec<PendingBr>> = BTreeMap::new();
     let mut spans: Vec<Value> = Vec::new();
 
@@ -107,7 +90,6 @@ pub fn perfetto_trace(jsonl: &str) -> Result<Value, String> {
                     .push(PendingBr {
                         cell: get_u64(&value, "cell").unwrap_or(0),
                         dur_ns: get_u64(&value, "dur_ns").unwrap_or(0),
-                        memo_hits: get_u64(&value, "memo_hits").unwrap_or(0),
                         recomputed: get_u64(&value, "recomputed").unwrap_or(0),
                     });
             }
@@ -166,7 +148,6 @@ pub fn perfetto_trace(jsonl: &str) -> Result<Value, String> {
                             obj(vec![
                                 ("req", Value::UInt(req)),
                                 ("target_cell", Value::UInt(c.cell)),
-                                ("memo_hits", Value::UInt(c.memo_hits)),
                                 ("recomputed", Value::UInt(c.recomputed)),
                             ]),
                         ),
@@ -174,88 +155,6 @@ pub fn perfetto_trace(jsonl: &str) -> Result<Value, String> {
                     child_start += c.dur_ns;
                 }
                 cursors.insert(cell, start + span_ns + TRACK_GAP_NS);
-            }
-            "worker_epoch" => {
-                let worker = get_u64(&value, "worker").unwrap_or(0);
-                let epoch = get_u64(&value, "epoch").unwrap_or(0);
-                let busy_ns = get_u64(&value, "busy_ns").unwrap_or(0);
-                let idle_ns = get_u64(&value, "idle_ns").unwrap_or(0);
-                let start = *worker_cursors.entry(worker).or_insert(0);
-                let tid = WORKER_TID_BASE + worker;
-                // Busy then idle, back-to-back: widths are the epoch's
-                // real wall-clock split, offsets are synthetic.
-                for (name, offset, dur) in [("busy", 0, busy_ns), ("idle", busy_ns, idle_ns)] {
-                    spans.push(obj(vec![
-                        ("name", Value::Str(name.into())),
-                        ("cat", Value::Str("worker".into())),
-                        ("ph", Value::Str("X".into())),
-                        ("pid", Value::UInt(PID)),
-                        ("tid", Value::UInt(tid)),
-                        ("ts", us(start + offset)),
-                        ("dur", us(dur)),
-                        (
-                            "args",
-                            obj(vec![
-                                ("epoch", Value::UInt(epoch)),
-                                ("msgs", Value::UInt(get_u64(&value, "msgs").unwrap_or(0))),
-                                (
-                                    "sim_t",
-                                    value.get("t").cloned().unwrap_or(Value::Float(0.0)),
-                                ),
-                            ]),
-                        ),
-                    ]));
-                }
-                worker_cursors.insert(worker, start + busy_ns + idle_ns + TRACK_GAP_NS);
-            }
-            "epoch_barrier" => {
-                let epoch = get_u64(&value, "epoch").unwrap_or(0);
-                let wall_ns = get_u64(&value, "wall_ns").unwrap_or(0);
-                let barrier_ns = get_u64(&value, "barrier_ns").unwrap_or(0);
-                let blocked_ns = get_u64(&value, "blocked_ns").unwrap_or(0);
-                let serial_ns = get_u64(&value, "serial_ns").unwrap_or(0);
-                // The phases partition the epoch by construction; stretch
-                // the parent if rounding ever overshoots.
-                let span_ns = wall_ns.max(barrier_ns + blocked_ns + serial_ns);
-                let start = epoch_cursor.unwrap_or(0);
-                spans.push(obj(vec![
-                    ("name", Value::Str("epoch".into())),
-                    ("cat", Value::Str("epoch".into())),
-                    ("ph", Value::Str("X".into())),
-                    ("pid", Value::UInt(PID)),
-                    ("tid", Value::UInt(EPOCH_TID)),
-                    ("ts", us(start)),
-                    ("dur", us(span_ns)),
-                    (
-                        "args",
-                        obj(vec![
-                            ("epoch", Value::UInt(epoch)),
-                            (
-                                "sim_t",
-                                value.get("t").cloned().unwrap_or(Value::Float(0.0)),
-                            ),
-                        ]),
-                    ),
-                ]));
-                let mut child_start = start;
-                for (name, dur) in [
-                    ("barrier", barrier_ns),
-                    ("blocked", blocked_ns),
-                    ("serial", serial_ns),
-                ] {
-                    spans.push(obj(vec![
-                        ("name", Value::Str(name.into())),
-                        ("cat", Value::Str("epoch_phase".into())),
-                        ("ph", Value::Str("X".into())),
-                        ("pid", Value::UInt(PID)),
-                        ("tid", Value::UInt(EPOCH_TID)),
-                        ("ts", us(child_start)),
-                        ("dur", us(dur)),
-                        ("args", obj(vec![("epoch", Value::UInt(epoch))])),
-                    ]));
-                    child_start += dur;
-                }
-                epoch_cursor = Some(start + span_ns + TRACK_GAP_NS);
             }
             _ => {}
         }
@@ -288,30 +187,6 @@ pub fn perfetto_trace(jsonl: &str) -> Result<Value, String> {
             (
                 "args",
                 obj(vec![("name", Value::Str(format!("cell {cell}")))]),
-            ),
-        ]));
-    }
-    if epoch_cursor.is_some() {
-        events.push(obj(vec![
-            ("name", Value::Str("thread_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::UInt(PID)),
-            ("tid", Value::UInt(EPOCH_TID)),
-            (
-                "args",
-                obj(vec![("name", Value::Str("epoch barriers".into()))]),
-            ),
-        ]));
-    }
-    for &worker in worker_cursors.keys() {
-        events.push(obj(vec![
-            ("name", Value::Str("thread_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::UInt(PID)),
-            ("tid", Value::UInt(WORKER_TID_BASE + worker)),
-            (
-                "args",
-                obj(vec![("name", Value::Str(format!("shard worker {worker}")))]),
             ),
         ]));
     }
@@ -494,7 +369,7 @@ mod tests {
     #[test]
     fn nests_children_inside_their_admission_span() {
         let jsonl = concat!(
-            r#"{"type":"br_compute","t":1.0,"cell":7,"req":1,"memo_hits":0,"recomputed":2,"br":3.0,"dur_ns":400}"#,
+            r#"{"type":"br_compute","t":1.0,"cell":7,"req":1,"recomputed":2,"br":3.0,"dur_ns":400}"#,
             "\n",
             r#"{"type":"admission","t":1.0,"cell":7,"req":1,"scheme":"AC3","admitted":true,"blocked_by_neighbor":null,"br":3.0,"dur_ns":1000}"#,
             "\n",
@@ -552,61 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_and_epoch_events_render_on_their_own_lanes() {
-        let jsonl = concat!(
-            r#"{"type":"worker_epoch","t":10.0,"worker":1,"epoch":1,"busy_ns":4000,"idle_ns":6000,"msgs":9}"#,
-            "\n",
-            r#"{"type":"epoch_barrier","t":10.0,"epoch":1,"wall_ns":10000,"barrier_ns":1000,"blocked_ns":2000,"serial_ns":7000}"#,
-            "\n",
-        );
-        let doc = perfetto_trace(jsonl).unwrap();
-        let events = trace_events(&doc);
-        // Worker lane: busy then idle, back-to-back on tid base + worker.
-        let busy = events
-            .iter()
-            .find(|e| matches!(e.get("name"), Some(Value::Str(n)) if n == "busy"))
-            .expect("busy span");
-        let idle = events
-            .iter()
-            .find(|e| matches!(e.get("name"), Some(Value::Str(n)) if n == "idle"))
-            .expect("idle span");
-        assert_eq!(busy.get("tid"), Some(&Value::UInt(WORKER_TID_BASE + 1)));
-        assert_eq!(busy.get("ts"), Some(&Value::Float(0.0)));
-        assert_eq!(
-            idle.get("ts"),
-            Some(&Value::Float(4.0)),
-            "idle follows busy"
-        );
-        // Epoch lane: parent epoch span with the three phase children.
-        let epoch = events
-            .iter()
-            .find(|e| matches!(e.get("name"), Some(Value::Str(n)) if n == "epoch"))
-            .expect("epoch span");
-        assert_eq!(epoch.get("tid"), Some(&Value::UInt(EPOCH_TID)));
-        assert_eq!(epoch.get("dur"), Some(&Value::Float(10.0)));
-        let serial = events
-            .iter()
-            .find(|e| matches!(e.get("name"), Some(Value::Str(n)) if n == "serial"))
-            .expect("serial span");
-        // barrier (1 µs) + blocked (2 µs) precede serial on the lane.
-        assert_eq!(serial.get("ts"), Some(&Value::Float(3.0)));
-        // Lane names are emitted as thread metadata.
-        let names: Vec<String> = events
-            .iter()
-            .filter(|e| matches!(e.get("name"), Some(Value::Str(n)) if n == "thread_name"))
-            .filter_map(|e| match e.get("args").and_then(|a| a.get("name")) {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(names.contains(&"shard worker 1".to_string()));
-        assert!(names.contains(&"epoch barriers".to_string()));
-    }
-
-    #[test]
     fn diff_traces_reports_counts_durations_and_nesting() {
         let a = perfetto_trace(concat!(
-            r#"{"type":"br_compute","t":1.0,"cell":7,"req":1,"memo_hits":0,"recomputed":2,"br":3.0,"dur_ns":400}"#,
+            r#"{"type":"br_compute","t":1.0,"cell":7,"req":1,"recomputed":2,"br":3.0,"dur_ns":400}"#,
             "\n",
             r#"{"type":"admission","t":1.0,"cell":7,"req":1,"scheme":"AC3","admitted":true,"blocked_by_neighbor":null,"br":3.0,"dur_ns":1000}"#,
             "\n",

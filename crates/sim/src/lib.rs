@@ -39,8 +39,6 @@ pub mod workload;
 pub use engine::Engine;
 pub use metrics::{CellSummary, Metrics, RunResult};
 pub use parallel::par_map;
-pub use runner::{
-    run_scenario, run_scenario_with_workers, sweep_offered_load, sweep_offered_load_sequential,
-};
+pub use runner::{run_scenario, sweep_offered_load, sweep_offered_load_sequential};
 pub use scenario::{DirectionMode, Scenario, SchemeKind, WiredConfig};
 pub use timevarying::{DiurnalSchedule, RetryPolicy, TimeVaryingConfig};

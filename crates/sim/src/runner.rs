@@ -10,13 +10,6 @@ pub fn run_scenario(scenario: &Scenario) -> RunResult {
     Engine::new(scenario.clone()).run()
 }
 
-/// Runs a scenario on a sharded reservation core with `workers` worker
-/// threads owning the cells (`workers <= 1` = the inline single-threaded
-/// reference). Per-point results are bit-identical across worker counts.
-pub fn run_scenario_with_workers(scenario: &Scenario, workers: usize) -> RunResult {
-    Engine::with_workers(scenario.clone(), workers).run()
-}
-
 /// One point of an offered-load sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
@@ -132,72 +125,6 @@ mod tests {
                 assert_eq!(pc.b_u_final, sc.b_u_final);
                 assert_eq!(pc.t_est_secs, sc.t_est_secs);
             }
-        }
-    }
-
-    /// The tentpole property: the sharded multi-worker reservation core is
-    /// an execution-model change, not a semantic one. For every admission
-    /// scheme and worker count, a full DES run matches the single-threaded
-    /// reference bit for bit — aggregate ratios, per-cell final state, and
-    /// the signaling/`N_calc` protocol accounting.
-    #[test]
-    fn sharded_workers_are_bit_identical_to_single_threaded() {
-        for scheme in [SchemeKind::Ac1, SchemeKind::Ac2, SchemeKind::Ac3] {
-            let base = Scenario::paper_baseline()
-                .scheme(scheme)
-                .offered_load(150.0)
-                .duration_secs(120.0)
-                .seed(77);
-            let reference = run_scenario_with_workers(&base, 1);
-            for workers in [2usize, 8] {
-                let sharded = run_scenario_with_workers(&base, workers);
-                assert_eq!(
-                    sharded.system_cb.trials(),
-                    reference.system_cb.trials(),
-                    "{scheme:?} workers={workers}"
-                );
-                assert_eq!(sharded.system_cb.hits(), reference.system_cb.hits());
-                assert_eq!(sharded.system_hd.trials(), reference.system_hd.trials());
-                assert_eq!(sharded.system_hd.hits(), reference.system_hd.hits());
-                assert_eq!(sharded.n_calc_mean, reference.n_calc_mean);
-                assert_eq!(sharded.events_dispatched, reference.events_dispatched);
-                assert_eq!(sharded.avg_br(), reference.avg_br());
-                assert_eq!(sharded.avg_bu(), reference.avg_bu());
-                assert_eq!(sharded.signaling.messages, reference.signaling.messages);
-                assert_eq!(sharded.signaling.hops, reference.signaling.hops);
-                assert_eq!(sharded.signaling.bytes, reference.signaling.bytes);
-                for (sc, rc) in sharded.cells.iter().zip(&reference.cells) {
-                    assert_eq!(sc.b_r_final, rc.b_r_final);
-                    assert_eq!(sc.b_u_final, rc.b_u_final);
-                    assert_eq!(sc.t_est_secs, rc.t_est_secs);
-                }
-            }
-        }
-    }
-
-    /// Same property on the 2-D hex grid the metro scenario uses (small
-    /// instance — the 1024-cell smoke run lives in CI).
-    #[test]
-    fn sharded_workers_match_on_hex_grid() {
-        let mut base = Scenario::paper_baseline()
-            .hex(4, 5)
-            .scheme(SchemeKind::Ac3)
-            .offered_load(120.0)
-            .duration_secs(120.0)
-            .seed(21);
-        base.turn_probability = 0.15;
-        let reference = run_scenario_with_workers(&base, 1);
-        let sharded = run_scenario_with_workers(&base, 4);
-        assert_eq!(sharded.system_cb, reference.system_cb);
-        assert_eq!(sharded.system_hd, reference.system_hd);
-        assert_eq!(sharded.events_dispatched, reference.events_dispatched);
-        assert_eq!(sharded.avg_br(), reference.avg_br());
-        assert_eq!(sharded.avg_bu(), reference.avg_bu());
-        assert_eq!(sharded.signaling.messages, reference.signaling.messages);
-        for (sc, rc) in sharded.cells.iter().zip(&reference.cells) {
-            assert_eq!(sc.b_r_final, rc.b_r_final);
-            assert_eq!(sc.b_u_final, rc.b_u_final);
-            assert_eq!(sc.t_est_secs, rc.t_est_secs);
         }
     }
 

@@ -221,8 +221,7 @@ impl Scenario {
     /// 10-cell ring to a 32 × 32 = 1024-cell hexagonal grid
     /// ([`qres_cellnet::HexGrid::metro`]), AC3, moderate per-cell load,
     /// occasional turns (the 2-D grid's headings are not the road's
-    /// strict back-and-forth), 600 s. This is the scenario the `--workers`
-    /// shard scheduler is sized against (`qres template metro`).
+    /// strict back-and-forth), 600 s (`qres template metro`).
     pub fn metro() -> Self {
         let mut s = Scenario::paper_baseline()
             .hex(

@@ -7,15 +7,7 @@
 # `enabled`), the p99 of the instrumented hot-path histograms
 # (`obs_hist_p99/...`), the flight-recorder admission-p99 pair
 # (`flight_p99/admission_{off,on}_ns` — the decision tape's tail-latency
-# cost, gated at the same 10%), and the metro worker-scaling runs
-# (`metro_scaling/workers/N` — the 1024-cell hex grid on the sharded
-# reservation core), summarized as sustained admissions/sec and the
-# scaling ratio vs workers=1 ("worker_scaling"; recorded, not gated — see
-# DESIGN.md §11.4). Since PR 8 each worker_scaling entry also carries the
-# shard-plane profile of an untimed obs-on run — measured serial fraction,
-# aggregate busy utilization, and mailbox queue-dwell p99 — the
-# Amdahl-style diagnosis of where the sharded core's wall-clock actually
-# goes (DESIGN.md §11.5).
+# cost, gated at the same 10%).
 #
 # Each qres-microbench harness prints machine-readable `BENCH {...}` lines;
 # this script collects them, adds the batched/naive speedup summary and the
@@ -39,7 +31,6 @@ trap 'rm -f "$raw"' EXIT
 cargo bench -q -p qres-bench --bench reservation reservation_b_i0 2>&1 | tee -a "$raw"
 cargo bench -q -p qres-bench --bench end_to_end sweep_10pt_grid 2>&1 | tee -a "$raw"
 cargo bench -q -p qres-bench --bench obs_overhead obs_overhead 2>&1 | tee -a "$raw"
-cargo bench -q -p qres-bench --bench metro_scaling metro_scaling 2>&1 | tee -a "$raw"
 
 python3 - "$raw" "$out" <<'PY'
 import glob, json, re, sys
@@ -124,42 +115,6 @@ try:
 except (OSError, json.JSONDecodeError):
     pass
 
-# --- metro worker scaling (sharded reservation core) ---------------------
-# The metro_scaling bench runs the 1024-cell hex grid end to end at each
-# worker count; the runs are bit-identical, so the admission-trial count
-# (reported once as metro_scaling/admission_trials) is shared and
-# admissions/sec follows from each run's wall-clock. Recorded, not gated:
-# with a single-threaded DES driver, sharding buys the deployment shape,
-# not speedups (ratio < 1 is the expected, honest result at paper-scale
-# event rates).
-worker_scaling = {}
-trials_entry = by_id.get("metro_scaling/admission_trials")
-if trials_entry:
-    trials = trials_entry["ns_per_iter"]
-    base = by_id.get("metro_scaling/workers/1")
-    for n in (1, 2, 4, 8):
-        cur = by_id.get(f"metro_scaling/workers/{n}")
-        if cur is None:
-            continue
-        adm_per_sec = trials / (cur["ns_per_iter"] * 1e-9)
-        entry = {"admissions_per_sec": round(adm_per_sec, 1)}
-        if base:
-            entry["speedup_vs_workers_1"] = round(
-                base["ns_per_iter"] / cur["ns_per_iter"], 3)
-        # Shard-plane profile of the untimed obs-on companion run: the
-        # measured serial fraction (Amdahl ceiling = 1/s), aggregate
-        # worker busy utilization, and mailbox queue-dwell p99 (ns).
-        sf = by_id.get(f"metro_scaling/serial_fraction/{n}")
-        if sf:
-            entry["serial_fraction"] = round(sf["ns_per_iter"], 4)
-        bu = by_id.get(f"metro_scaling/busy_utilization/{n}")
-        if bu:
-            entry["busy_utilization"] = round(bu["ns_per_iter"], 4)
-        dw = by_id.get(f"metro_scaling/mailbox_dwell_p99/{n}")
-        if dw:
-            entry["mailbox_dwell_p99_ns"] = dw["ns_per_iter"]
-        worker_scaling[str(n)] = entry
-
 # --- p99 regression gate against the previous snapshot -------------------
 GATED = ("obs_hist_p99/qres_admission_test_ns", "obs_hist_p99/qres_br_compute_ns")
 THRESHOLD_PCT = 10.0
@@ -208,7 +163,6 @@ doc = {
     "obs_overhead": obs,
     "flight_gate": flight_gate,
     "calibration_overhead_vs_bench_04": calib_overhead,
-    "worker_scaling": worker_scaling,
     "p99_gate": p99_gate,
 }
 with open(out_path, "w") as f:
@@ -217,8 +171,6 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path}: {len(entries)} benchmarks, speedups {speedups}, obs {obs}")
 if calib_overhead:
     print(f"calibration-path overhead vs BENCH_04: {calib_overhead}")
-if worker_scaling:
-    print(f"metro worker scaling (admissions/sec): {worker_scaling}")
 if flight_gate:
     print(f"flight recorder admission p99 gate: {flight_gate}")
 print(f"p99 gate vs {p99_gate['previous_snapshot']}: {p99_gate['diffs']}")

@@ -1,30 +1,52 @@
 //! Reproducibility guarantees across the full stack.
 
-use qres::sim::{run_scenario, run_scenario_with_workers, Scenario, SchemeKind, TimeVaryingConfig};
+use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
 
-/// Bit-identical results from the same seed, including traces.
+/// Bit-identical results from the same seed, including traces, on the
+/// paper's ring and on a small 2-D hex grid (six-neighbor `B_r`).
 #[test]
 fn identical_seeds_identical_runs() {
-    let s = Scenario::paper_baseline()
+    let ring = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(1_000.0)
         .trace_cells(&[4])
         .seed(77);
-    let a = run_scenario(&s);
-    let b = run_scenario(&s);
-    assert_eq!(a.system_cb, b.system_cb);
-    assert_eq!(a.system_hd, b.system_hd);
-    assert_eq!(a.events_dispatched, b.events_dispatched);
-    assert_eq!(a.n_calc_mean, b.n_calc_mean);
-    assert_eq!(a.signaling, b.signaling);
-    assert_eq!(a.traces[&4].b_r.points(), b.traces[&4].b_r.points());
-    assert_eq!(a.traces[&4].t_est.points(), b.traces[&4].t_est.points());
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.p_cb, cb.p_cb);
-        assert_eq!(ca.p_hd, cb.p_hd);
-        assert_eq!(ca.b_r_avg, cb.b_r_avg);
-        assert_eq!(ca.b_u_avg, cb.b_u_avg);
+    let mut hex = Scenario::paper_baseline()
+        .hex(4, 5)
+        .scheme(SchemeKind::Ac3)
+        .offered_load(120.0)
+        .duration_secs(120.0)
+        .trace_cells(&[4])
+        .seed(21);
+    hex.turn_probability = 0.15;
+    for (label, s) in [("ring", ring), ("hex", hex)] {
+        let a = run_scenario(&s);
+        let b = run_scenario(&s);
+        assert_eq!(a.system_cb, b.system_cb, "{label}");
+        assert_eq!(a.system_hd, b.system_hd, "{label}");
+        assert_eq!(a.events_dispatched, b.events_dispatched, "{label}");
+        assert_eq!(a.n_calc_mean, b.n_calc_mean, "{label}");
+        assert_eq!(a.signaling, b.signaling, "{label}");
+        assert_eq!(
+            a.traces[&4].b_r.points(),
+            b.traces[&4].b_r.points(),
+            "{label}"
+        );
+        assert_eq!(
+            a.traces[&4].t_est.points(),
+            b.traces[&4].t_est.points(),
+            "{label}"
+        );
+        for (ca, cb) in a.cells.iter().zip(&b.cells) {
+            assert_eq!(ca.p_cb, cb.p_cb, "{label}");
+            assert_eq!(ca.p_hd, cb.p_hd, "{label}");
+            assert_eq!(ca.b_r_avg, cb.b_r_avg, "{label}");
+            assert_eq!(ca.b_u_avg, cb.b_u_avg, "{label}");
+            assert_eq!(ca.b_r_final, cb.b_r_final, "{label}");
+            assert_eq!(ca.b_u_final, cb.b_u_final, "{label}");
+            assert_eq!(ca.t_est_secs, cb.t_est_secs, "{label}");
+        }
     }
 }
 
@@ -67,7 +89,7 @@ fn workload_is_scheme_independent() {
 }
 
 /// Serializes the tests that flip the process-global telemetry level and
-/// inspect the recorder/worker planes, so they cannot race each other.
+/// inspect the recorder planes, so they cannot race each other.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The telemetry recorder is strictly passive: enabling it at the most
@@ -113,12 +135,10 @@ fn recorder_does_not_perturb_outcomes() {
     let (events, _) = qres::obs::drain_events();
     qres::obs::reset();
     qres::obs::reset_metrics();
-    // The obs-on run also exercised the QoS/calibration trackers and the
-    // epoch ledger (all strictly obs-side); clear them so this test
-    // leaves no global state.
+    // The obs-on run also exercised the QoS/calibration trackers (both
+    // strictly obs-side); clear them so this test leaves no global state.
     qres::obs::reset_qos();
     qres::obs::reset_calib();
-    qres::obs::reset_workers();
     assert!(!events.is_empty(), "debug level should record events");
     assert_eq!(off.system_cb, on.system_cb);
     assert_eq!(off.system_hd, on.system_hd);
@@ -134,72 +154,9 @@ fn recorder_does_not_perturb_outcomes() {
     }
 }
 
-/// The shard-plane worker profiling (per-worker busy/idle ledgers, mailbox
-/// dwell stamps on every envelope, the driver's epoch barrier breakdown)
-/// is strictly passive too: a sharded run with the profiler on is
-/// bit-identical to the same sharded run with telemetry off — and to the
-/// inline reference.
-#[test]
-fn worker_profiling_does_not_perturb_sharded_outcomes() {
-    let _guard = OBS_LOCK.lock().unwrap();
-    let s = Scenario::paper_baseline()
-        .scheme(SchemeKind::Ac3)
-        .offered_load(250.0)
-        .duration_secs(600.0)
-        .seed(77);
-    qres::obs::set_level(qres::obs::Level::Off);
-    let inline = run_scenario(&s);
-    let off = run_scenario_with_workers(&s, 4);
-    qres::obs::set_level(qres::obs::Level::Debug);
-    let on = run_scenario_with_workers(&s, 4);
-    qres::obs::set_level(qres::obs::Level::Off);
-    // The profiled run actually produced a shard-plane profile…
-    let workers = qres::obs::workers_json();
-    let epochs = workers.get("epochs").expect("epochs section");
-    assert!(
-        matches!(
-            epochs.get("count"),
-            Some(qres_json::Value::UInt(n)) if *n > 0
-        ),
-        "profiled sharded run must record epoch barriers, got {epochs:?}"
-    );
-    assert!(
-        epochs.get("serial_fraction").is_some(),
-        "profile must carry a serial fraction"
-    );
-    let (events, _) = qres::obs::drain_events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, qres::obs::ObsEvent::WorkerEpoch { .. })),
-        "profiled run must emit worker epoch events"
-    );
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_workers();
-    // …and perturbed nothing: profiler on == profiler off == inline.
-    for (label, other) in [("profiler-off sharded", &off), ("inline", &inline)] {
-        assert_eq!(on.system_cb, other.system_cb, "{label}");
-        assert_eq!(on.system_hd, other.system_hd, "{label}");
-        assert_eq!(on.events_dispatched, other.events_dispatched, "{label}");
-        assert_eq!(on.n_calc_mean, other.n_calc_mean, "{label}");
-        assert_eq!(on.signaling, other.signaling, "{label}");
-        for (a, b) in on.cells.iter().zip(&other.cells) {
-            assert_eq!(a.p_cb, b.p_cb, "{label}");
-            assert_eq!(a.p_hd, b.p_hd, "{label}");
-            assert_eq!(a.b_r_final, b.b_r_final, "{label}");
-            assert_eq!(a.b_u_final, b.b_u_final, "{label}");
-            assert_eq!(a.t_est_secs, b.t_est_secs, "{label}");
-        }
-    }
-}
-
 /// The SLO watchdog (retention-store sampling + burn-rate alert
-/// evaluation at epoch barriers) is strictly passive: every simulation
-/// outcome is bit-identical with the watchdog on and off, on both the
-/// inline and the sharded backend.
+/// evaluation at watchdog ticks) is strictly passive: every simulation
+/// outcome is bit-identical with the watchdog on and off.
 #[test]
 fn watchdog_does_not_perturb_outcomes() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -213,16 +170,15 @@ fn watchdog_does_not_perturb_outcomes() {
         qres::obs::reset_metrics();
         qres::obs::reset_qos();
         qres::obs::reset_calib();
-        qres::obs::reset_workers();
         qres::obs::reset_tsdb();
         qres::obs::reset_alerts();
         qres::obs::reset_flight();
     };
-    let run = |workers: usize, watchdog: bool| {
+    let run = |watchdog: bool| {
         reset_watchdog_state();
         qres::obs::set_watchdog_enabled(watchdog);
         qres::obs::set_level(qres::obs::Level::Debug);
-        let r = run_scenario_with_workers(&s, workers);
+        let r = run_scenario(&s);
         let samples = qres::obs::metrics::TSDB_SAMPLES_TOTAL.get();
         qres::obs::set_level(qres::obs::Level::Off);
         if watchdog {
@@ -232,25 +188,19 @@ fn watchdog_does_not_perturb_outcomes() {
         }
         r
     };
-    let baseline = run(1, false);
-    for (label, workers, watchdog) in [
-        ("inline watchdog-on", 1, true),
-        ("sharded watchdog-off", 4, false),
-        ("sharded watchdog-on", 4, true),
-    ] {
-        let r = run(workers, watchdog);
-        assert_eq!(baseline.system_cb, r.system_cb, "{label}");
-        assert_eq!(baseline.system_hd, r.system_hd, "{label}");
-        assert_eq!(baseline.events_dispatched, r.events_dispatched, "{label}");
-        assert_eq!(baseline.n_calc_mean, r.n_calc_mean, "{label}");
-        assert_eq!(baseline.signaling, r.signaling, "{label}");
-        for (a, b) in baseline.cells.iter().zip(&r.cells) {
-            assert_eq!(a.p_cb, b.p_cb, "{label}");
-            assert_eq!(a.p_hd, b.p_hd, "{label}");
-            assert_eq!(a.b_r_final, b.b_r_final, "{label}");
-            assert_eq!(a.b_u_final, b.b_u_final, "{label}");
-            assert_eq!(a.t_est_secs, b.t_est_secs, "{label}");
-        }
+    let off = run(false);
+    let on = run(true);
+    assert_eq!(off.system_cb, on.system_cb);
+    assert_eq!(off.system_hd, on.system_hd);
+    assert_eq!(off.events_dispatched, on.events_dispatched);
+    assert_eq!(off.n_calc_mean, on.n_calc_mean);
+    assert_eq!(off.signaling, on.signaling);
+    for (a, b) in off.cells.iter().zip(&on.cells) {
+        assert_eq!(a.p_cb, b.p_cb);
+        assert_eq!(a.p_hd, b.p_hd);
+        assert_eq!(a.b_r_final, b.b_r_final);
+        assert_eq!(a.b_u_final, b.b_u_final);
+        assert_eq!(a.t_est_secs, b.t_est_secs);
     }
     reset_watchdog_state();
     qres::obs::set_watchdog_enabled(true);
@@ -258,8 +208,8 @@ fn watchdog_does_not_perturb_outcomes() {
 
 /// A forced SLO violation (target pinned far below the realized `P_HD`)
 /// produces an identical alert timeline — states, burn rates, fired
-/// counts, transition log — across reruns and across worker counts: the
-/// watchdog runs on the sim clock at epoch barriers, never on wall time.
+/// counts, transition log — across reruns: the watchdog runs on the sim
+/// clock, never on wall time.
 #[test]
 fn forced_violation_alert_timeline_is_deterministic() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -270,22 +220,21 @@ fn forced_violation_alert_timeline_is_deterministic() {
         .seed(42);
     // Far below what this load realizes: the p_hd_burn rule must fire.
     s.p_hd_target = 1e-4;
-    let timeline = |workers: usize| {
+    let timeline = || {
         qres::obs::reset();
         qres::obs::reset_metrics();
         qres::obs::reset_qos();
         qres::obs::reset_calib();
-        qres::obs::reset_workers();
         qres::obs::reset_tsdb();
         qres::obs::reset_alerts();
         qres::obs::set_watchdog_enabled(true);
         qres::obs::set_level(qres::obs::Level::Info);
-        let _ = run_scenario_with_workers(&s, workers);
+        let _ = run_scenario(&s);
         qres::obs::finalize_alerts(qres::obs::sim_time());
         qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::alerts_json().to_compact_string()
     };
-    let first = timeline(1);
+    let first = timeline();
     assert!(
         first.contains("\"firing\""),
         "forced violation must reach the firing state: {first}"
@@ -294,25 +243,18 @@ fn forced_violation_alert_timeline_is_deterministic() {
         first.contains("\"resolved\""),
         "finalize must resolve the timeline: {first}"
     );
-    assert_eq!(first, timeline(1), "rerun must replay the same timeline");
-    assert_eq!(
-        first,
-        timeline(4),
-        "alert timeline must not depend on the worker count"
-    );
+    assert_eq!(first, timeline(), "rerun must replay the same timeline");
     qres::obs::reset();
     qres::obs::reset_metrics();
     qres::obs::reset_qos();
     qres::obs::reset_calib();
-    qres::obs::reset_workers();
     qres::obs::reset_tsdb();
     qres::obs::reset_alerts();
 }
 
 /// The decision-provenance flight recorder is strictly passive: with
 /// telemetry on, taping every admission decision (inputs, per-neighbor
-/// terms, checks, verdict) changes no simulation outcome, on both the
-/// inline and the sharded backend.
+/// terms, checks, verdict) changes no simulation outcome.
 #[test]
 fn flight_recorder_does_not_perturb_outcomes() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -326,16 +268,15 @@ fn flight_recorder_does_not_perturb_outcomes() {
         qres::obs::reset_metrics();
         qres::obs::reset_qos();
         qres::obs::reset_calib();
-        qres::obs::reset_workers();
         qres::obs::reset_tsdb();
         qres::obs::reset_alerts();
         qres::obs::reset_flight();
     };
-    let run = |workers: usize, flight: bool| {
+    let run = |flight: bool| {
         reset_all();
         qres::obs::set_flight_enabled(flight);
         qres::obs::set_level(qres::obs::Level::Debug);
-        let r = run_scenario_with_workers(&s, workers);
+        let r = run_scenario(&s);
         let taped = matches!(
             qres::obs::flight_summary_json().get("len"),
             Some(qres_json::Value::UInt(n)) if *n > 0
@@ -350,25 +291,19 @@ fn flight_recorder_does_not_perturb_outcomes() {
         );
         r
     };
-    let baseline = run(1, false);
-    for (label, workers, flight) in [
-        ("inline recorder-on", 1, true),
-        ("sharded recorder-off", 4, false),
-        ("sharded recorder-on", 4, true),
-    ] {
-        let r = run(workers, flight);
-        assert_eq!(baseline.system_cb, r.system_cb, "{label}");
-        assert_eq!(baseline.system_hd, r.system_hd, "{label}");
-        assert_eq!(baseline.events_dispatched, r.events_dispatched, "{label}");
-        assert_eq!(baseline.n_calc_mean, r.n_calc_mean, "{label}");
-        assert_eq!(baseline.signaling, r.signaling, "{label}");
-        for (a, b) in baseline.cells.iter().zip(&r.cells) {
-            assert_eq!(a.p_cb, b.p_cb, "{label}");
-            assert_eq!(a.p_hd, b.p_hd, "{label}");
-            assert_eq!(a.b_r_final, b.b_r_final, "{label}");
-            assert_eq!(a.b_u_final, b.b_u_final, "{label}");
-            assert_eq!(a.t_est_secs, b.t_est_secs, "{label}");
-        }
+    let off = run(false);
+    let on = run(true);
+    assert_eq!(off.system_cb, on.system_cb);
+    assert_eq!(off.system_hd, on.system_hd);
+    assert_eq!(off.events_dispatched, on.events_dispatched);
+    assert_eq!(off.n_calc_mean, on.n_calc_mean);
+    assert_eq!(off.signaling, on.signaling);
+    for (a, b) in off.cells.iter().zip(&on.cells) {
+        assert_eq!(a.p_cb, b.p_cb);
+        assert_eq!(a.p_hd, b.p_hd);
+        assert_eq!(a.b_r_final, b.b_r_final);
+        assert_eq!(a.b_u_final, b.b_u_final);
+        assert_eq!(a.t_est_secs, b.t_est_secs);
     }
     reset_all();
     qres::obs::set_flight_enabled(true);
@@ -376,39 +311,36 @@ fn flight_recorder_does_not_perturb_outcomes() {
 
 /// The flight tape itself is deterministic: the full record window —
 /// inputs, per-neighbor terms with their Eq.-4 internals, checks,
-/// verdicts — is byte-identical between the inline and the sharded
-/// backend, and replaying it through the live admission predicates
-/// reproduces every verdict.
+/// verdicts — is byte-identical across reruns, and replaying it through
+/// the live admission predicates reproduces every verdict.
 #[test]
-fn replayed_flight_window_matches_across_worker_counts() {
+fn replayed_flight_window_matches_across_reruns() {
     let _guard = OBS_LOCK.lock().unwrap();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(42);
-    let tape = |workers: usize| {
+    let tape = || {
         qres::obs::reset();
         qres::obs::reset_metrics();
         qres::obs::reset_qos();
         qres::obs::reset_calib();
-        qres::obs::reset_workers();
         qres::obs::reset_tsdb();
         qres::obs::reset_alerts();
         qres::obs::reset_flight();
         qres::obs::set_level(qres::obs::Level::Debug);
-        let _ = run_scenario_with_workers(&s, workers);
+        let _ = run_scenario(&s);
         qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::flight_json()
     };
-    let inline_tape = tape(1);
-    let sharded_tape = tape(4);
+    let first = tape();
     assert_eq!(
-        inline_tape.to_compact_string(),
-        sharded_tape.to_compact_string(),
-        "flight tape must not depend on the worker count"
+        first.to_compact_string(),
+        tape().to_compact_string(),
+        "rerun must tape the same decisions"
     );
-    let summary = qres::replay::replay_flight_doc(&inline_tape).expect("tape must replay");
+    let summary = qres::replay::replay_flight_doc(&first).expect("tape must replay");
     assert!(summary.records > 0, "tape must hold decision records");
     assert_eq!(
         summary.reserve_exact, summary.records,
@@ -423,7 +355,6 @@ fn replayed_flight_window_matches_across_worker_counts() {
     qres::obs::reset_metrics();
     qres::obs::reset_qos();
     qres::obs::reset_calib();
-    qres::obs::reset_workers();
     qres::obs::reset_tsdb();
     qres::obs::reset_alerts();
     qres::obs::reset_flight();
