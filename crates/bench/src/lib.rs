@@ -1,4 +1,4 @@
-//! # qres-bench — experiment regenerators and micro-benchmarks
+//! # qres-bench — experiment regenerators
 //!
 //! One binary per figure/table of the paper's evaluation (Section 5); see
 //! DESIGN.md §5 for the experiment index and EXPERIMENTS.md for recorded
@@ -22,11 +22,6 @@
 //!   to a TCP sink (`host:port`) or file (`file:path`) every
 //!   `--obs-push-interval <secs>` (default 10) — for batch regenerations
 //!   nothing scrapes.
-//!
-//! The `benches/` directory holds Criterion micro-benchmarks of the
-//! algorithmic building blocks (HOE cache ops, Eq. 4 queries, `B_r`
-//! computation, admission tests, DES queue ops, end-to-end step rate),
-//! including `obs_overhead`, which bounds the disabled-telemetry cost.
 
 #![warn(missing_docs)]
 

@@ -112,7 +112,7 @@ pub fn neighbor_contribution(
 
 /// The one-connection-at-a-time reference evaluation of `B_i,0` — the
 /// specification [`neighbor_contribution`] is verified against (see the
-/// differential tests and the `reservation_b_i0` benchmark's side-by-side).
+/// differential tests and the benchmark's `mobility.eq4.naive_over_batched`).
 pub fn neighbor_contribution_naive(
     neighbor_cell: &Cell,
     neighbor_cache: &mut HoeCache,

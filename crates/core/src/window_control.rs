@@ -27,8 +27,8 @@
 //! fixed step is deliberate: the paper reports that additive and
 //! multiplicative step growth "cause over-reactions, and make the reserved
 //! bandwidth fluctuate severely"; both are implemented here as
-//! [`StepPolicy`] variants so the ablation bench can reproduce that
-//! finding.
+//! [`StepPolicy`] variants so the `aggressive_policies_overshoot` property
+//! test can reproduce that finding.
 
 use qres_des::Duration;
 

@@ -57,8 +57,8 @@
 //! Telemetry is off by default. Every instrumentation site is gated on
 //! [`enabled`] — a single relaxed atomic load plus a branch — and takes no
 //! wall-clock timestamps, allocates nothing, and touches no locks until
-//! switched on with [`set_level`]. The `obs_overhead` benchmark in
-//! `qres-bench` holds the disabled end-to-end cost under 2%.
+//! switched on with [`set_level`]. The repo benchmark (`perfbench/`)
+//! measures the enabled cost as `ring_ac3_obs` against `ring_ac3`.
 //!
 //! ## Determinism contract
 //!

@@ -358,26 +358,30 @@ impl Scenario {
             );
             assert!(rows >= 2 && cols >= 2, "hex grid needs at least 2x2");
         }
-        assert!(
-            self.cell_diameter_km > 0.0,
-            "cell diameter must be positive"
-        );
+        for (value, what) in [
+            (self.cell_diameter_km, "cell diameter"),
+            (self.offered_load, "offered load"),
+            (self.mean_lifetime_secs, "lifetime"),
+            (self.duration_secs, "duration"),
+        ] {
+            assert!(
+                value > 0.0 && value.is_finite(),
+                "{what} must be positive and finite"
+            );
+        }
         assert!(
             (0.0..=1.0).contains(&self.voice_ratio),
             "voice ratio must be in [0,1]"
         );
-        assert!(self.offered_load > 0.0, "offered load must be positive");
         let (lo, hi) = self.speed_range_kmh;
         assert!(
-            lo > 0.0 && hi >= lo,
-            "speed range must be positive, lo <= hi"
+            lo > 0.0 && hi >= lo && hi.is_finite(),
+            "speed range must be positive and finite, lo <= hi"
         );
-        assert!(self.mean_lifetime_secs > 0.0, "lifetime must be positive");
         assert!(
             (0.0..=1.0).contains(&self.turn_probability),
             "turn probability must be in [0,1]"
         );
-        assert!(self.duration_secs > 0.0, "duration must be positive");
         assert!(
             self.warmup_secs < self.duration_secs,
             "warm-up must end before the run does"
@@ -634,5 +638,21 @@ mod tests {
     #[should_panic(expected = "voice ratio")]
     fn bad_voice_ratio_rejected() {
         Scenario::paper_baseline().voice_ratio(1.2).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load must be positive and finite")]
+    fn infinite_load_rejected() {
+        Scenario::paper_baseline()
+            .offered_load(f64::INFINITY)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be positive and finite")]
+    fn infinite_duration_rejected() {
+        Scenario::paper_baseline()
+            .duration_secs(f64::INFINITY)
+            .validate();
     }
 }

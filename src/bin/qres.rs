@@ -500,18 +500,23 @@ fn run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--loads 60,120,300`, defaulting to the paper's load grid.
+/// `--loads 60,120,300`, defaulting to the paper's load grid. Every load
+/// must be a positive, finite number.
 fn parse_loads(args: &[String]) -> Result<Vec<f64>, String> {
     match args.iter().position(|a| a == "--loads") {
         Some(i) => match args.get(i + 1) {
-            Some(list) => {
-                let parsed: Result<Vec<f64>, _> =
-                    list.split(',').map(str::trim).map(str::parse).collect();
-                match parsed {
-                    Ok(v) if !v.is_empty() => Ok(v),
-                    _ => Err("--loads expects a comma-separated list of numbers".into()),
-                }
-            }
+            Some(list) => list
+                .split(',')
+                .map(str::trim)
+                .map(|raw| {
+                    raw.parse::<f64>()
+                        .ok()
+                        .filter(|load| load.is_finite() && *load > 0.0)
+                        .ok_or_else(|| {
+                            format!("--loads expects positive finite numbers, got `{raw}`")
+                        })
+                })
+                .collect(),
             None => Err("--loads requires a value".into()),
         },
         None => Ok(qres::sim::runner::paper_load_grid()),
@@ -522,6 +527,13 @@ fn sweep(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!("qres sweep <scenario.json> --loads 60,120,300 [--obs]");
         return ExitCode::from(2);
+    };
+    let loads = match parse_loads(args) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
     let obs = match obs_setup(args) {
         Ok(on) => on,
@@ -539,13 +551,6 @@ fn sweep(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
-        }
-    };
-    let loads = match parse_loads(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
         }
     };
     let base = match load_scenario(path) {
@@ -612,6 +617,13 @@ fn serve(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     };
+    let loads = match parse_loads(args) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:9464");
     let sequential = args.iter().any(|a| a == "--sequential");
     let linger_secs: u64 = match flag_value(args, "--linger-secs").map(str::parse) {
@@ -641,13 +653,6 @@ fn serve(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
-        }
-    };
-    let loads = match parse_loads(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
         }
     };
     let base = match load_scenario(path) {

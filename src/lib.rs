@@ -35,7 +35,7 @@
 //!     .seed(7);
 //! let result = run_scenario(&scenario);
 //! println!("P_CB = {:.4}  P_HD = {:.4}", result.p_cb(), result.p_hd());
-//! assert!(result.p_hd() <= 0.03); // short run; the benches use long ones
+//! assert!(result.p_hd() <= 0.03); // short run; the experiment binaries use long ones
 //! ```
 
 pub mod replay;
