@@ -48,66 +48,72 @@ pub fn neighbor_contribution(
         target,
         "a cell does not hand off to itself"
     );
-    let conns: Vec<ConnQuery> = neighbor_cell
-        .connections()
-        .map(|conn| ConnQuery {
+    // The population's Eq.-5 inputs, in a buffer reused across calls so
+    // the admission test does not allocate.
+    thread_local! {
+        static CONNS: std::cell::RefCell<Vec<ConnQuery>> = std::cell::RefCell::default();
+    }
+    CONNS.with(|buf| {
+        let mut conns = buf.borrow_mut();
+        conns.clear();
+        conns.extend(neighbor_cell.connections().map(|conn| ConnQuery {
             prev: conn.prev,
             known_next: conn.known_next,
             extant_sojourn: conn.extant_sojourn(now),
             bandwidth: conn.bandwidth.as_f64(),
-        })
-        .collect();
-    if qres_obs::enabled() {
-        qres_obs::metrics::B_I0_EVALS_TOTAL.add(conns.len() as u64);
-        // Calibration read-out: capture each connection's Eq.-4 forecast
-        // alongside the sum. The probs variant is bit-identical on the
-        // total, and staging is a thread-local push — the forecasts move
-        // into the global calibration store later, in `compute_br`, after
-        // the timing record ([`qres_obs::flush_staged`]).
-        thread_local! {
-            static PROBS: std::cell::RefCell<Vec<f64>> = std::cell::RefCell::default();
-        }
-        return PROBS.with(|p| {
-            let mut probs = p.borrow_mut();
-            let total = batched_contribution_probs(
-                neighbor_cache,
-                now,
-                target,
-                t_est_of_target,
-                &conns,
-                &mut probs,
-            );
-            let deadline = now.as_secs() + t_est_of_target.as_secs();
-            let mut p_h_sum = 0.0;
-            let mut live = 0u32;
-            for (conn, &p_h) in neighbor_cell.connections().zip(probs.iter()) {
-                // Declared toward another cell: not a forecast about
-                // `target`, so nothing to calibrate.
-                if matches!(conn.known_next, Some(declared) if declared != target) {
-                    continue;
-                }
-                p_h_sum += p_h;
-                live += 1;
-                qres_obs::stage_prediction(
-                    neighbor_cell.id().0,
-                    target.0,
-                    conn.id.0,
-                    conn.prev.map(|c| c.0),
-                    p_h,
-                    deadline,
+        }));
+        if qres_obs::enabled() {
+            qres_obs::metrics::B_I0_EVALS_TOTAL.add(conns.len() as u64);
+            // Calibration read-out: capture each connection's Eq.-4 forecast
+            // alongside the sum. The probs variant is bit-identical on the
+            // total, and staging is a thread-local push — the forecasts move
+            // into the global calibration store later, in `compute_br`, after
+            // the timing record ([`qres_obs::flush_staged`]).
+            thread_local! {
+                static PROBS: std::cell::RefCell<Vec<f64>> = std::cell::RefCell::default();
+            }
+            return PROBS.with(|p| {
+                let mut probs = p.borrow_mut();
+                let total = batched_contribution_probs(
+                    neighbor_cache,
+                    now,
+                    target,
+                    t_est_of_target,
+                    &conns,
+                    &mut probs,
                 );
-            }
-            if qres_obs::flight::flight_enabled() {
-                // Leave the Eq.-4 internals (Σ p_h over the forecasts
-                // toward `target`, count of contributing connections) in
-                // TLS for `compute_br` to copy into the term's flight
-                // record.
-                qres_obs::flight::stage_eval_detail(p_h_sum, live);
-            }
-            total
-        });
-    }
-    batched_contribution(neighbor_cache, now, target, t_est_of_target, &conns)
+                let deadline = now.as_secs() + t_est_of_target.as_secs();
+                let mut p_h_sum = 0.0;
+                let mut live = 0u32;
+                for (conn, &p_h) in neighbor_cell.connections().zip(probs.iter()) {
+                    // Declared toward another cell: not a forecast about
+                    // `target`, so nothing to calibrate.
+                    if matches!(conn.known_next, Some(declared) if declared != target) {
+                        continue;
+                    }
+                    p_h_sum += p_h;
+                    live += 1;
+                    qres_obs::stage_prediction(
+                        neighbor_cell.id().0,
+                        target.0,
+                        conn.id.0,
+                        conn.prev.map(|c| c.0),
+                        p_h,
+                        deadline,
+                    );
+                }
+                if qres_obs::flight::flight_enabled() {
+                    // Leave the Eq.-4 internals (Σ p_h over the forecasts
+                    // toward `target`, count of contributing connections) in
+                    // TLS for `compute_br` to copy into the term's flight
+                    // record.
+                    qres_obs::flight::stage_eval_detail(p_h_sum, live);
+                }
+                total
+            });
+        }
+        batched_contribution(neighbor_cache, now, target, t_est_of_target, &conns)
+    })
 }
 
 /// The one-connection-at-a-time reference evaluation of `B_i,0` — the

@@ -13,10 +13,13 @@
 //!   prefix-summed weights, so the estimator's numerator/denominator
 //!   (Eq. 4) are two binary searches instead of a linear scan.
 //!
-//! Snapshots are rebuilt lazily: on mutation, and — for finite `T_int`,
-//! where window membership drifts with `t_o` — when the snapshot is older
-//! than a configurable refresh interval (default 30 simulated seconds,
-//! far finer than the 1-hour `T_int` the paper uses).
+//! Snapshots are refreshed lazily, at the next query. With infinite
+//! `T_int` a record marks only its own `(prev, next)` pair stale, and the
+//! query re-derives just the stale pairs: one pair per hand-off, however
+//! much history the other pairs hold. With finite `T_int`, where window
+//! membership drifts with `t_o`, every pair is re-derived once the snapshot
+//! is older than a configurable refresh interval (default 30 simulated
+//! seconds, far finer than the 1-hour `T_int` the paper uses).
 //!
 //! With weekday/weekend separation enabled, quadruplets are routed into two
 //! independent stores by the [`Calendar`] class of their event time, and
@@ -177,7 +180,9 @@ impl PairSnapshot {
 
 #[derive(Debug, Clone, Default)]
 struct Snapshot {
+    /// When the finite-`T_int` refresh interval last started.
     built_at: Option<SimTime>,
+    /// Pairs with at least one selected quadruplet.
     pairs: BTreeMap<(PrevKey, CellId), PairSnapshot>,
     max_sojourn: Option<f64>,
 }
@@ -197,17 +202,82 @@ struct Snapshot {
 ///   from one pair, so buckets holding more than `N_quad` contribute only
 ///   statistically interchangeable extras.
 #[derive(Debug, Clone)]
-enum PairStore {
+enum PairEvents {
     Recent(VecDeque<HandoffEvent>),
     Bucketed(BTreeMap<i64, Vec<HandoffEvent>>),
 }
 
+/// One pair's raw events and whether its snapshot must be re-derived.
+#[derive(Debug, Clone)]
+struct PairStore {
+    events: PairEvents,
+    /// Set by a record into this pair; cleared when its snapshot is rebuilt
+    /// (unless it still holds events later than that rebuild's `t_o`).
+    stale: bool,
+}
+
 impl PairStore {
     fn len(&self) -> usize {
-        match self {
-            PairStore::Recent(d) => d.len(),
-            PairStore::Bucketed(b) => b.values().map(Vec::len).sum(),
+        match &self.events {
+            PairEvents::Recent(d) => d.len(),
+            PairEvents::Bucketed(b) => b.values().map(Vec::len).sum(),
         }
+    }
+
+    /// Event time of the newest stored quadruplet.
+    fn newest(&self) -> Option<SimTime> {
+        match &self.events {
+            PairEvents::Recent(d) => d.back(),
+            PairEvents::Bucketed(b) => b.values().next_back().and_then(|v| v.last()),
+        }
+        .map(|e| e.t_event)
+    }
+
+    /// The pair's snapshot at `t_o`: its `≤ N_quad` window members by the
+    /// paper's priority rule, or `None` when no stored event is a member.
+    fn select(&self, t_o: SimTime, window: &WindowConfig, n_quad: usize) -> Option<PairSnapshot> {
+        // (n, distance, sojourn, weight) of candidate members.
+        let mut members: Vec<(u32, f64, f64, f64)> = Vec::new();
+        let mut consider = |e: &HandoffEvent| {
+            if let Some(m) = window.membership(t_o, e.t_event) {
+                members.push((m.n, m.distance, e.t_soj.as_secs(), m.weight));
+            }
+        };
+        match &self.events {
+            PairEvents::Recent(deque) => deque.iter().for_each(&mut consider),
+            PairEvents::Bucketed(buckets) => {
+                // Touch only buckets overlapping some window
+                // [t_o − T_int − nP, t_o + T_int − nP). The index set is
+                // deduplicated so overlapping windows (2·T_int > period)
+                // cannot double-count an event; membership() itself
+                // resolves each event to its unique smallest n.
+                let bw = bucket_width(window);
+                let t_int = window.t_int.as_secs();
+                let period = window.period.as_secs();
+                let mut indices = std::collections::BTreeSet::new();
+                for n in 0..window.num_windows() {
+                    let lo = t_o.as_secs() - t_int - f64::from(n) * period;
+                    let hi = t_o.as_secs() + t_int - f64::from(n) * period;
+                    let b_lo = (lo / bw).floor() as i64;
+                    let b_hi = (hi / bw).floor() as i64;
+                    indices.extend(buckets.range(b_lo..=b_hi).map(|(&i, _)| i));
+                }
+                for idx in indices {
+                    buckets[&idx].iter().for_each(&mut consider);
+                }
+            }
+        }
+        if members.is_empty() {
+            return None;
+        }
+        // Priority: smaller n, then smaller shifted-time distance.
+        members.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then(a.1.partial_cmp(&b.1).expect("distances are NaN-free"))
+        });
+        members.truncate(n_quad);
+        let selected: Vec<(f64, f64)> = members.into_iter().map(|(_, _, s, w)| (s, w)).collect();
+        Some(PairSnapshot::build(selected))
     }
 }
 
@@ -216,7 +286,11 @@ struct ClassStore {
     pairs: BTreeMap<(PrevKey, CellId), PairStore>,
     last_event_time: Option<SimTime>,
     snapshot: Snapshot,
+    /// Some pair in `pairs` is stale.
     dirty: bool,
+    /// Pair snapshots derived so far.
+    #[cfg(test)]
+    pair_builds: usize,
 }
 
 /// Bucket width for the finite-`T_int` store, in seconds.
@@ -235,20 +309,20 @@ impl ClassStore {
             );
         }
         self.last_event_time = Some(event.t_event);
-        let infinite = window.t_int.is_infinite();
         let store = self
             .pairs
             .entry((event.prev, event.next))
-            .or_insert_with(|| {
-                if infinite {
-                    PairStore::Recent(VecDeque::new())
+            .or_insert_with(|| PairStore {
+                events: if window.t_int.is_infinite() {
+                    PairEvents::Recent(VecDeque::new())
                 } else {
-                    PairStore::Bucketed(BTreeMap::new())
-                }
+                    PairEvents::Bucketed(BTreeMap::new())
+                },
+                stale: false,
             });
         let mut evicted = 0usize;
-        match store {
-            PairStore::Recent(deque) => {
+        match &mut store.events {
+            PairEvents::Recent(deque) => {
                 deque.push_back(event);
                 // Only the N_quad most recent can ever be selected.
                 while deque.len() > n_quad {
@@ -256,7 +330,7 @@ impl ClassStore {
                     evicted += 1;
                 }
             }
-            PairStore::Bucketed(buckets) => {
+            PairEvents::Bucketed(buckets) => {
                 let bw = bucket_width(window);
                 let idx = (event.t_event.as_secs() / bw).floor() as i64;
                 let bucket = buckets.entry(idx).or_default();
@@ -279,89 +353,20 @@ impl ClassStore {
                 }
             }
         }
+        store.stale = true;
         self.dirty = true;
         evicted
     }
 
-    fn snapshot_fresh(&self, t_o: SimTime, window: &WindowConfig, refresh: Duration) -> bool {
-        match self.snapshot.built_at {
-            None => false,
-            Some(at) => {
-                if window.t_int.is_infinite() {
-                    // Membership does not drift with time; only mutation
-                    // invalidates.
-                    !self.dirty
-                } else {
-                    // Finite windows: rebuild on refresh expiry (new events
-                    // become visible within `refresh` of recording — the
-                    // dirty flag alone would force a rebuild per hand-off,
-                    // which is quadratic under load).
-                    t_o >= at && t_o - at <= refresh
-                }
-            }
-        }
-    }
-
-    fn rebuild(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
-        let mut pairs = BTreeMap::new();
-        let mut max_sojourn: Option<f64> = None;
-        for (&key, store) in &self.pairs {
-            // (n, distance, sojourn, weight) of candidate members.
-            let mut members: Vec<(u32, f64, f64, f64)> = Vec::new();
-            let mut consider = |e: &HandoffEvent| {
-                if let Some(m) = window.membership(t_o, e.t_event) {
-                    members.push((m.n, m.distance, e.t_soj.as_secs(), m.weight));
-                }
-            };
-            match store {
-                PairStore::Recent(deque) => deque.iter().for_each(&mut consider),
-                PairStore::Bucketed(buckets) => {
-                    // Touch only buckets overlapping some window
-                    // [t_o − T_int − nP, t_o + T_int − nP). The index set is
-                    // deduplicated so overlapping windows (2·T_int > period)
-                    // cannot double-count an event; membership() itself
-                    // resolves each event to its unique smallest n.
-                    let bw = bucket_width(window);
-                    let t_int = window.t_int.as_secs();
-                    let period = window.period.as_secs();
-                    let mut indices = std::collections::BTreeSet::new();
-                    for n in 0..window.num_windows() {
-                        let lo = t_o.as_secs() - t_int - f64::from(n) * period;
-                        let hi = t_o.as_secs() + t_int - f64::from(n) * period;
-                        let b_lo = (lo / bw).floor() as i64;
-                        let b_hi = (hi / bw).floor() as i64;
-                        indices.extend(buckets.range(b_lo..=b_hi).map(|(&i, _)| i));
-                    }
-                    for idx in indices {
-                        buckets[&idx].iter().for_each(&mut consider);
-                    }
-                }
-            }
-            if members.is_empty() {
-                continue;
-            }
-            // Priority: smaller n, then smaller shifted-time distance.
-            members.sort_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then(a.1.partial_cmp(&b.1).expect("distances are NaN-free"))
-            });
-            members.truncate(n_quad);
-            let selected: Vec<(f64, f64)> =
-                members.into_iter().map(|(_, _, s, w)| (s, w)).collect();
-            let snap = PairSnapshot::build(selected);
-            if let Some(ms) = snap.max_sojourn() {
-                max_sojourn = Some(max_sojourn.map_or(ms, |m: f64| m.max(ms)));
-            }
-            pairs.insert(key, snap);
-        }
-        self.snapshot = Snapshot {
-            built_at: Some(t_o),
-            pairs,
-            max_sojourn,
-        };
-        self.dirty = false;
-    }
-
+    /// Brings the snapshot up to date for a query at `t_o`.
+    ///
+    /// * Infinite `T_int`: membership does not drift with `t_o`, so only
+    ///   the pairs recorded into since their last rebuild are re-derived —
+    ///   one pair per hand-off.
+    /// * Finite `T_int`: window membership drifts with `t_o`, so every pair
+    ///   is re-derived once the snapshot is older than `refresh` (new events
+    ///   become visible within `refresh` of recording — rebuilding on each
+    ///   record would rebuild per hand-off, which is quadratic under load).
     fn ensure_snapshot(
         &mut self,
         t_o: SimTime,
@@ -369,9 +374,49 @@ impl ClassStore {
         n_quad: usize,
         refresh: Duration,
     ) {
-        if !self.snapshot_fresh(t_o, window, refresh) {
-            self.rebuild(t_o, window, n_quad);
+        if window.t_int.is_infinite() {
+            if !self.dirty {
+                return;
+            }
+        } else {
+            if matches!(self.snapshot.built_at, Some(at) if t_o >= at && t_o - at <= refresh) {
+                return;
+            }
+            self.snapshot.built_at = Some(t_o);
+            for store in self.pairs.values_mut() {
+                store.stale = true;
+            }
         }
+        self.refresh_stale(t_o, window, n_quad);
+    }
+
+    /// Re-derives the snapshot of every stale pair at `t_o`, then
+    /// `max_sojourn` over all pair snapshots.
+    fn refresh_stale(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
+        let mut dirty = false;
+        for (key, store) in self.pairs.iter_mut().filter(|(_, s)| s.stale) {
+            match store.select(t_o, window, n_quad) {
+                Some(snap) => self.snapshot.pairs.insert(*key, snap),
+                None => self.snapshot.pairs.remove(key),
+            };
+            #[cfg(test)]
+            {
+                self.pair_builds += 1;
+            }
+            // Query-before-record rule: events later than `t_o` are not yet
+            // window members (Eq. 2), so a pair holding one stays stale until
+            // a query at or after its newest event takes it in. This keeps
+            // every answer equal to a from-scratch rebuild at the same `t_o`.
+            store.stale = store.newest().is_some_and(|t| t > t_o);
+            dirty |= store.stale;
+        }
+        self.dirty = dirty;
+        self.snapshot.max_sojourn = self
+            .snapshot
+            .pairs
+            .values()
+            .filter_map(PairSnapshot::max_sojourn)
+            .reduce(f64::max);
     }
 
     fn stored_events(&self) -> usize {
@@ -412,22 +457,18 @@ impl HoeCache {
         &self.config
     }
 
-    fn class_of(&self, t: SimTime) -> DayClass {
-        if self.config.weekend_window.is_some() {
-            self.config.calendar.classify(t)
-        } else {
-            DayClass::Weekday
-        }
-    }
-
-    fn window_for(&self, class: DayClass) -> &WindowConfig {
-        match class {
-            DayClass::Weekday => &self.config.weekday_window,
-            DayClass::Weekend => self
-                .config
-                .weekend_window
-                .as_ref()
-                .expect("weekend store only used when configured"),
+    /// The store for the day class of `t`, with that class's window,
+    /// borrowed disjointly from the rest of the configuration.
+    fn class_store(&mut self, t: SimTime) -> (&mut ClassStore, &WindowConfig) {
+        let HoeCache {
+            config,
+            weekday,
+            weekend,
+            ..
+        } = self;
+        match &config.weekend_window {
+            Some(window) if config.calendar.classify(t) == DayClass::Weekend => (weekend, window),
+            _ => (weekday, &config.weekday_window),
         }
     }
 
@@ -436,15 +477,11 @@ impl HoeCache {
     /// Events must arrive in event-time order (the simulator guarantees
     /// this).
     pub fn record(&mut self, event: HandoffEvent) {
-        let class = self.class_of(event.t_event);
-        let window = self.window_for(class).clone();
-        let store = match class {
-            DayClass::Weekday => &mut self.weekday,
-            DayClass::Weekend => &mut self.weekend,
-        };
+        let n_quad = self.config.n_quad;
         let obs_on = qres_obs::enabled();
         let (prev, next, sojourn_secs) = (event.prev, event.next, event.t_soj.as_secs());
-        let evicted = store.record(event, &window, self.config.n_quad);
+        let (store, window) = self.class_store(event.t_event);
+        let evicted = store.record(event, window, n_quad);
         if obs_on {
             qres_obs::metrics::HOE_INSERTS_TOTAL.add(1);
             qres_obs::record(qres_obs::ObsEvent::HoeInsert {
@@ -465,14 +502,12 @@ impl HoeCache {
         }
     }
 
-    fn store_for_query(&mut self, t_o: SimTime) -> (&mut ClassStore, WindowConfig) {
-        let class = self.class_of(t_o);
-        let window = self.window_for(class).clone();
-        let store = match class {
-            DayClass::Weekday => &mut self.weekday,
-            DayClass::Weekend => &mut self.weekend,
-        };
-        (store, window)
+    /// The query-ready snapshot at `t_o`.
+    fn snapshot_at(&mut self, t_o: SimTime) -> &Snapshot {
+        let (n_quad, refresh) = (self.config.n_quad, self.config.snapshot_refresh);
+        let (store, window) = self.class_store(t_o);
+        store.ensure_snapshot(t_o, window, n_quad, refresh);
+        &store.snapshot
     }
 
     /// The rebuilt, query-ready snapshot pairs at `t_o` — the batched
@@ -481,11 +516,7 @@ impl HoeCache {
         &mut self,
         t_o: SimTime,
     ) -> &BTreeMap<(PrevKey, CellId), PairSnapshot> {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        &store.snapshot.pairs
+        &self.snapshot_at(t_o).pairs
     }
 
     /// Denominator of Eq. 4: total selected weight, over **all** next
@@ -494,14 +525,8 @@ impl HoeCache {
     /// Zero means no cached mobile with this history stayed longer than
     /// `t_ext` — the paper's *stationary* classification.
     pub fn weight_prev_gt(&mut self, t_o: SimTime, prev: PrevKey, t_ext: Duration) -> f64 {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
         let a = t_ext.as_secs();
-        store
-            .snapshot
-            .pairs
+        self.pairs_for_query(t_o)
             .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
             .map(|(_, snap)| snap.weight_gt(a))
             .sum()
@@ -517,11 +542,7 @@ impl HoeCache {
         t_ext: Duration,
         t_est: Duration,
     ) -> f64 {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        match store.snapshot.pairs.get(&(prev, next)) {
+        match self.pairs_for_query(t_o).get(&(prev, next)) {
             Some(snap) => snap.weight_in(t_ext.as_secs(), (t_ext + t_est).as_secs()),
             None => 0.0,
         }
@@ -536,11 +557,7 @@ impl HoeCache {
         next: CellId,
         t_ext: Duration,
     ) -> f64 {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        match store.snapshot.pairs.get(&(prev, next)) {
+        match self.pairs_for_query(t_o).get(&(prev, next)) {
             Some(snap) => snap.weight_gt(t_ext.as_secs()),
             None => 0.0,
         }
@@ -550,23 +567,13 @@ impl HoeCache {
     /// contribution to `T_soj,max`, which caps the adaptive `T_est`
     /// (Fig. 6). `None` if the cache has no usable quadruplets.
     pub fn max_sojourn(&mut self, t_o: SimTime) -> Option<Duration> {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        store.snapshot.max_sojourn.map(Duration::from_secs)
+        self.snapshot_at(t_o).max_sojourn.map(Duration::from_secs)
     }
 
     /// The selected `(next, sojourns)` footprint for a given `prev` —
     /// the data behind the paper's Fig. 4.
     pub fn footprint_pairs(&mut self, t_o: SimTime, prev: PrevKey) -> Vec<(CellId, Vec<f64>)> {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        store
-            .snapshot
-            .pairs
+        self.pairs_for_query(t_o)
             .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
             .map(|(&(_, next), snap)| (next, snap.sojourns().to_vec()))
             .collect()
@@ -780,6 +787,71 @@ mod tests {
         assert_eq!(fp[0].1, vec![30.0]);
         assert_eq!(fp[1].0, CellId(4));
         assert_eq!(fp[1].1, vec![50.0, 55.0]);
+    }
+
+    #[test]
+    fn record_then_query_rebuilds_only_its_own_pair() {
+        let mut c = stationary_cache();
+        let mut t = 0.0;
+        for prev in [None, Some(1), Some(2), Some(3)] {
+            for next in 4..7 {
+                for soj in [10.0, 20.0, 30.0] {
+                    t += 1.0;
+                    c.record(ev(t, prev, next, soj));
+                }
+            }
+        }
+        let now = SimTime::from_secs(t);
+        c.max_sojourn(now);
+        let warm = c.weekday.pair_builds;
+        assert_eq!(warm, 12, "the first query derives every pair once");
+        // Queries without a record re-derive nothing.
+        c.weight_prev_gt(now, Some(CellId(1)), s(0.0));
+        assert_eq!(c.weekday.pair_builds, warm);
+        // One hand-off, then the queries that follow one in the engine.
+        c.record(ev(t + 1.0, Some(2), 5, 40.0));
+        let now = SimTime::from_secs(t + 1.0);
+        assert_eq!(c.max_sojourn(now), Some(s(40.0)));
+        assert_eq!(c.weight_prev_gt(now, Some(CellId(2)), s(0.0)), 10.0);
+        assert_eq!(c.weekday.pair_builds, warm + 1);
+    }
+
+    #[test]
+    fn query_behind_the_clock_keeps_future_pairs_stale() {
+        let mut c = stationary_cache();
+        c.record(ev(1.0, Some(1), 2, 30.0));
+        c.record(ev(10.0, Some(1), 3, 50.0));
+        // At t_o = 5 the event at 10 is not yet a window member.
+        let early = SimTime::from_secs(5.0);
+        assert_eq!(c.weight_prev_gt(early, Some(CellId(1)), s(0.0)), 1.0);
+        assert_eq!(c.weekday.pair_builds, 2);
+        // The (1, 3) pair stays stale and is re-derived at each query until
+        // t_o reaches its newest event; the (1, 2) pair is left alone.
+        assert_eq!(c.max_sojourn(early), Some(s(30.0)));
+        assert_eq!(c.weekday.pair_builds, 3);
+        let late = SimTime::from_secs(10.0);
+        assert_eq!(c.weight_prev_gt(late, Some(CellId(1)), s(0.0)), 2.0);
+        assert_eq!(c.max_sojourn(late), Some(s(50.0)));
+        assert_eq!(c.weekday.pair_builds, 4);
+        c.max_sojourn(SimTime::from_secs(11.0));
+        assert_eq!(c.weekday.pair_builds, 4, "no stale pair is left");
+    }
+
+    #[test]
+    fn finite_window_rebuilds_only_when_refresh_expires() {
+        let mut c = HoeCache::new(HoeConfig::paper_time_varying());
+        let at = |secs: f64| SimTime::from_secs(10.0 * 3600.0 + secs);
+        c.record(ev(10.0 * 3600.0, Some(1), 2, 30.0));
+        c.record(ev(10.0 * 3600.0, Some(1), 3, 30.0));
+        assert_eq!(c.weight_prev_gt(at(1.0), Some(CellId(1)), s(0.0)), 2.0);
+        assert_eq!(c.weekday.pair_builds, 2);
+        // Recorded inside the 30 s refresh interval: not visible yet.
+        c.record(ev(10.0 * 3600.0 + 5.0, Some(1), 2, 40.0));
+        assert_eq!(c.weight_prev_gt(at(20.0), Some(CellId(1)), s(0.0)), 2.0);
+        assert_eq!(c.weekday.pair_builds, 2);
+        // Once the interval expires every pair is re-derived.
+        assert_eq!(c.weight_prev_gt(at(40.0), Some(CellId(1)), s(0.0)), 3.0);
+        assert_eq!(c.weekday.pair_builds, 4);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/bin/bash
-# Regenerates every figure and table of the paper. ~1 h on one core.
+# Regenerates every figure and table of the paper. About 26 min on a
+# 2-vCPU host (40 CPU-min: load sweeps run their points on every core).
 set -u
 cd "$(dirname "$0")"
 mkdir -p results
